@@ -307,16 +307,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    if args.engine != "pool":
-        for flag, value in (("--batch-size", args.batch_size),
-                            ("--pool-size", args.pool_size),
-                            ("--profile", args.profile)):
-            if value is not None:
-                print(f"error: {flag} requires --engine pool", file=sys.stderr)
-                return 2
     use_engine = (
         args.parallel is not None
-        or args.engine == "pool"
+        or args.profile
         or args.telemetry
         or args.checkpoint
         or args.store
@@ -350,13 +343,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         sink = MultiSink(sinks)
-        processes = args.parallel if args.parallel is not None else args.pool_size
         if args.durable:
             from repro.harness.supervisor import SupervisedCampaign
 
             campaign = SupervisedCampaign(
                 config,
-                processes=processes,
+                processes=args.parallel,
                 cell_timeout=args.timeout,
                 max_retries=args.retries,
                 checkpoint=args.checkpoint,
@@ -365,22 +357,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 heartbeat_seconds=args.heartbeat_seconds,
                 lease_seconds=args.lease_seconds,
                 fault_hook=args.fault_hook,
-                engine=args.engine,
-                batch_size=args.batch_size,
                 profile_dir=args.profile,
             )
         else:
             campaign = ParallelCampaign(
                 config,
-                processes=processes,
+                processes=args.parallel,
                 cell_timeout=args.timeout,
                 max_retries=args.retries,
                 checkpoint=args.checkpoint,
                 telemetry=sink,
                 store=args.store,
                 fault_hook=args.fault_hook,
-                engine=args.engine,
-                batch_size=args.batch_size,
                 profile_dir=args.profile,
             )
         try:
@@ -789,24 +777,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--tools", nargs="*")
     p_campaign.add_argument("--verbose", action="store_true")
     p_campaign.add_argument("--parallel", type=int, metavar="N",
-                            help="fault-tolerant engine with N worker processes "
-                                 "(0 = in-process serial engine)")
-    p_campaign.add_argument("--engine", choices=("percell", "pool"), default="percell",
-                            help="execution engine: 'percell' forks one process per "
-                                 "cell attempt; 'pool' serves batches of slices "
-                                 "through persistent workers that cache tools and "
-                                 "programs (bit-identical results, much less "
-                                 "per-slice overhead)")
-    p_campaign.add_argument("--batch-size", type=int, default=None, metavar="N",
-                            help="max slices per pooled batch (default 8; "
-                                 "requires --engine pool)")
-    p_campaign.add_argument("--pool-size", type=int, default=None, metavar="N",
-                            help="persistent workers for --engine pool (an alias "
-                                 "for --parallel that reads better with batches)")
+                            help="fault-tolerant worker pool of N persistent worker "
+                                 "processes (0 = run every slice in-process)")
     p_campaign.add_argument("--profile", metavar="DIR",
                             help="write per-worker cProfile dumps (.pstats) under DIR "
-                                 "and print a merged hot-spot summary "
-                                 "(requires --engine pool)")
+                                 "and print a merged hot-spot summary")
     p_campaign.add_argument("--telemetry", metavar="FILE",
                             help="write structured campaign telemetry (JSONL) to FILE")
     p_campaign.add_argument("--checkpoint", metavar="FILE",

@@ -61,10 +61,11 @@ def campaign_header(
     its headers stay byte-identical to pre-allocator campaigns, keeping
     old stores resumable.
 
-    Execution-engine choices never appear here: ``engine``, ``batch_size``
-    and pool sizing affect only *how* cells are dispatched, never what they
-    compute (the bit-identity contract), so a store written by a pooled
-    campaign resumes under the per-cell engine and vice versa.
+    Execution choices never appear here: worker count, ``batch_size`` and
+    in-process versus pooled execution affect only *how* slices are
+    dispatched, never what they compute (the bit-identity contract), so a
+    store written by the serial :class:`Campaign` resumes under a
+    :class:`~repro.harness.parallel.ParallelCampaign` and vice versa.
     """
     header = {
         "checkpoint_version": 1,

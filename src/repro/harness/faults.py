@@ -1,13 +1,14 @@
-"""Fault injection for the campaign engines: one-shot hooks + chaos plans.
+"""Fault injection for campaigns: one-shot hooks + chaos plans.
 
-The engines' robustness claims — bounded retries, per-cell timeouts, lease
+The campaigns' robustness claims — bounded retries, per-cell timeouts, lease
 expiry, crash isolation, checkpoint/store resume — are only testable if
 worker and storage failure can be provoked on demand.  Two mechanisms:
 
-**One-shot hooks** (the original layer).  A
-:class:`~repro.harness.parallel.CellSpec` may carry an importable
-``fault_hook`` reference (``"module:qualname"``); the worker entrypoint
-resolves and calls it with the spec *before* running the cell.  The
+**One-shot hooks** (the original layer).  A campaign's ``fault_hook`` may
+name an importable ``"module:qualname"`` reference; the slice runner
+(:func:`repro.harness.pool.run_slice`) resolves and calls it with the
+slice's :class:`~repro.harness.pool.CellSpec` *before* running it.  Hooks
+read only the spec's ``tool``, ``program`` and ``trial``.  The
 built-in :func:`crash_once` hook targets a single cell through environment
 variables and fires exactly once per campaign via an atomically created
 state file:

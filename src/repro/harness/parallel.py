@@ -1,31 +1,38 @@
-"""Fault-tolerant, observable multiprocess campaign execution.
+"""Parallel campaigns: every cell's slices through the worker pool.
 
 The paper runs its experiments with GNU Parallel over up to 50 cores
 (Appendix A.2); this module provides the same scale-out for our campaigns:
 the (tool, program, trial) cells of a campaign are independent, so they map
 cleanly onto worker processes.  Results are bit-identical to the serial
-:class:`~repro.harness.campaign.Campaign` — each cell derives its seed the
+:class:`~repro.harness.campaign.Campaign` — each slice derives its seed the
 same way — so parallelism is purely a wall-clock optimisation.
 
-Unlike a bare process pool, the engine survives its workers:
+A :class:`ParallelCampaign` plans, records and resumes; the
+:class:`~repro.harness.pool.WorkerPool` executes.  A single-pass campaign
+is one round of :class:`~repro.harness.allocator.UniformAllocator`; an
+adaptive allocator plans further rounds, and every round's missing slices
+go through the same pool, so every guarantee below holds per slice:
 
 * **crash isolation** — a worker that dies (segfault model: hard exit, OOM
-  kill, SIGKILL) costs one cell attempt, not the campaign; the cell is
-  retried on a fresh process up to ``max_retries`` times and, if it keeps
-  failing, recorded as a structured error result (``isolate_failures``)
-  instead of aborting everything;
-* **per-cell timeouts** — a hung worker is killed at ``cell_timeout``
-  seconds and handled like a crash;
-* **graceful degradation** — if worker processes cannot be started at all,
-  the engine falls back to in-process serial execution of the remaining
-  cells rather than failing;
-* **checkpoint/resume** — with ``checkpoint`` set, every completed cell is
-  appended to a JSONL file; re-running the same campaign against that file
-  skips completed cells and still produces a bit-identical
+  kill, SIGKILL) costs one attempt of the slice it was running, not the
+  campaign; that slice is replayed alone on a fresh worker up to
+  ``max_retries`` times and, if it keeps failing, recorded as a structured
+  error result (``isolate_failures``) instead of aborting everything.  The
+  slices queued behind it in the same batch are requeued uncharged;
+* **per-slice timeouts** — a worker that makes no progress for
+  ``cell_timeout`` seconds is killed and handled like a crash;
+* **graceful degradation** — ``processes=0`` runs every slice in-process,
+  and if worker processes cannot be started at all the pool falls back to
+  in-process execution of the remaining slices rather than failing;
+* **checkpoint/resume** — with ``checkpoint`` set, every completed cell
+  (or allocation-round slice) is appended to a JSONL file; re-running the
+  same campaign against that file (or its ``store``) skips completed work
+  and still produces a bit-identical
   :class:`~repro.harness.campaign.CampaignResult`;
 * **telemetry** — every lifecycle step (cell start/end/retry/error, worker
   start/exit, degradation, checkpoints) is emitted into a
-  :class:`~repro.harness.telemetry.TelemetrySink`.
+  :class:`~repro.harness.telemetry.TelemetrySink`; ``campaign_end`` is the
+  last record, after every worker has exited.
 
 Tool factories cross the process boundary *by importable reference*
 (``"module:qualname"`` strings carried in the cell spec), never through a
@@ -36,20 +43,18 @@ workers do not inherit the parent's registrations.
 
 from __future__ import annotations
 
-import importlib
 import multiprocessing as mp
 import os
 import sys
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
-from multiprocessing import connection as mp_connection
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from repro.harness.campaign import CampaignConfig, CampaignResult, campaign_header
 from repro.harness.persist import append_jsonl, read_jsonl, result_from_dict, result_to_dict
-from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
+from repro.harness.pool import CellOutcome, CellSpec, WorkerPool, resolve_ref
+from repro.harness.telemetry import TelemetrySink
 from repro.harness.tools import BugSearchResult, TestingTool
 
 CHECKPOINT_VERSION = 1
@@ -60,62 +65,10 @@ class CampaignError(RuntimeError):
     checkpoint file does not match the campaign being run."""
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    """One (tool, program, trial) campaign cell, fully self-describing.
-
-    ``factory_ref`` is an importable ``"module:qualname"`` reference to the
-    tool factory, resolved *inside* the worker — the spec is all a freshly
-    spawned process needs, with no reliance on inherited module globals.
-    """
-
-    tool: str
-    program: str
-    trial: int
-    seed: int
-    budget: int
-    factory_ref: str
-    #: Optional importable fault-injection hook called with the spec before
-    #: the cell runs (see repro.harness.faults).
-    fault_hook: str | None = None
-    #: Online sanitizer names attached to the tool inside the worker.
-    sanitizers: tuple[str, ...] = ()
-    #: Replays per found bug for STABLE/FLAKY verification (0 = off).
-    verify_replays: int = 0
-    #: Guardrail identity triple (step budget, wall seconds, livelock
-    #: window) reconstructed into a GuardConfig inside the worker; carried
-    #: as a plain tuple so specs stay trivially picklable and comparable.
-    guard: tuple | None = None
-
-    @property
-    def key(self) -> tuple[str, str, int]:
-        return (self.tool, self.program, self.trial)
-
-
-@dataclass(frozen=True)
-class CellOutcome:
-    """What a worker ships back: the result plus its measured cost."""
-
-    result: BugSearchResult
-    wall_time: float
-    counters: dict[str, int]
-
-
 # ----------------------------------------------------------------------
-# Tool factory registry (parent side) + importable references (worker side)
+# Tool factory registry (resolved in workers by importable reference)
 # ----------------------------------------------------------------------
 _TOOL_FACTORIES: dict[str, Callable[[], TestingTool]] = {}
-
-
-def resolve_ref(ref: str) -> Any:
-    """Resolve an importable ``"module:qualname"`` reference."""
-    module_name, _, qualname = ref.partition(":")
-    if not module_name or not qualname:
-        raise ValueError(f"malformed importable reference {ref!r}; expected 'module:qualname'")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
 
 
 def factory_ref(factory: Callable[[], TestingTool]) -> str:
@@ -180,218 +133,78 @@ def _register_default_factories() -> None:
 
 
 # ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _rff_env_snapshot() -> tuple[tuple[str, str], ...]:
-    """The parent's ``RFF_*`` environment, as a picklable sorted tuple.
-
-    Fault-injection state travels through ``RFF_*`` variables.  Under the
-    ``fork`` start method children inherit them implicitly, but ``spawn``
-    re-executes the interpreter and ``forkserver`` forks from a *server*
-    process whose environment was frozen at first use — both can miss
-    variables set (e.g. by a chaos test) after interpreter start.  Workers
-    therefore restore this snapshot explicitly before running any cell.
-    """
-    return tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("RFF_")))
-
-
-def _restore_env_then(env: dict[str, str], target: Callable, args: tuple) -> None:
-    """Worker bootstrap: restore the parent's RFF_* env, then run ``target``."""
-    os.environ.update(env)
-    target(*args)
-
-
-def _run_cell(spec: CellSpec) -> CellOutcome:
-    """Execute one campaign cell; shared by workers and serial fallback."""
-    from repro import bench
-
-    if spec.fault_hook:
-        resolve_ref(spec.fault_hook)(spec)
-    tool = resolve_ref(spec.factory_ref)()
-    if spec.sanitizers:
-        tool.sanitizers = tuple(spec.sanitizers)
-    if spec.verify_replays:
-        tool.verify_replays = spec.verify_replays
-    if spec.guard is not None:
-        from repro.runtime.guard import GuardConfig
-
-        step_budget, wall_seconds, livelock_window = spec.guard
-        tool.guard = GuardConfig(
-            step_budget=step_budget,
-            wall_seconds=wall_seconds,
-            livelock_window=livelock_window,
-        )
-    program = bench.get(spec.program)
-    before = GLOBAL_COUNTERS.snapshot()
-    start = time.perf_counter()
-    result = tool.find_bug(program, spec.budget, spec.seed)
-    wall_time = time.perf_counter() - start
-    counters = GLOBAL_COUNTERS.delta(before).as_dict()
-    # Stamp the trial index (the tool records the seed there by default).
-    return CellOutcome(
-        result=replace(result, trial=spec.trial), wall_time=wall_time, counters=counters
-    )
-
-
-def _worker_main(conn, spec: CellSpec) -> None:
-    """Worker entrypoint: run the cell, ship ('ok', outcome) or ('error', msg).
-
-    An exception here is deterministic program/tool misbehaviour, reported
-    as a structured message; a worker that dies without sending anything
-    (hard crash, kill) is detected parent-side by the closed pipe.
-    """
-    try:
-        payload = ("ok", _run_cell(spec))
-    except BaseException as exc:  # noqa: BLE001 - must not leak workers
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Worker:
-    """Parent-side handle of one in-flight cell attempt."""
-
-    spec: CellSpec
-    attempt: int
-    proc: Any
-    conn: Any
-    started: float
-
-
-# ----------------------------------------------------------------------
-# The engine
+# The campaign
 # ----------------------------------------------------------------------
 @dataclass
 class ParallelCampaign:
-    """A fault-tolerant process-per-cell campaign over named tools/programs.
+    """A fault-tolerant campaign over named tools/programs, executed by the
+    worker pool.
 
-    ``processes=0`` runs every cell in-process (the degraded-pool code path,
-    also useful for debugging); ``processes=None`` uses the CPU count.
-    ``max_retries`` bounds *extra* attempts after a worker crash or timeout;
-    in-worker Python exceptions are deterministic and are not retried.
+    ``processes=0`` runs every slice in-process (the degraded-pool code
+    path, also useful for debugging); ``processes=None`` uses the CPU
+    count.  ``max_retries`` bounds *extra* attempts after a worker crash or
+    timeout; in-worker Python exceptions are deterministic and are not
+    retried.
     """
 
     config: CampaignConfig
     processes: int | None = None
-    #: Seconds one cell attempt may run before its worker is killed.
+    #: Seconds a worker may run a slice without progress before it is killed.
     cell_timeout: float | None = None
-    #: Extra attempts (fresh worker process each) after crash/timeout.
+    #: Extra attempts (on a fresh worker each) after crash/timeout.
     max_retries: int = 2
     #: Record exhausted cells as structured error results instead of raising.
     isolate_failures: bool = True
     #: JSONL checkpoint path; existing compatible checkpoints are resumed.
     checkpoint: str | Path | None = None
     telemetry: TelemetrySink = field(default_factory=TelemetrySink)
-    #: Multiprocessing start method (None = fork where available, else spawn).
+    #: Multiprocessing start method (None = see _default_start_method).
     start_method: str | None = None
-    #: Importable fault-injection hook propagated into every cell spec.
+    #: Importable fault-injection hook called before every slice.
     fault_hook: str | None = None
     #: Durable corpus store (CorpusStore instance or path); completed cells
     #: are recorded there and resumed from it, alongside any checkpoint.
     store: Any = None
-    #: Execution engine: "percell" forks one worker per slice attempt;
-    #: "pool" serves batches of slices through long-lived workers that
-    #: cache tools and programs (see repro.harness.pool).  Results are
-    #: bit-identical either way.
-    engine: str = "percell"
     #: Maximum slices per pooled batch (None = pool default).
     batch_size: int | None = None
-    #: Directory for per-worker cProfile dumps under the pool engine
-    #: (None = profiling off); summarize with reporting.profile_summary.
+    #: Directory for per-worker cProfile dumps (None = profiling off);
+    #: summarize with reporting.profile_summary.
     profile_dir: str | Path | None = None
+
+    #: Worker supervision (heartbeat period, lease); off here, constructor
+    #: fields of SupervisedCampaign.
+    heartbeat_seconds: ClassVar[float | None] = None
+    lease_seconds: ClassVar[float | None] = None
 
     # -- public API -----------------------------------------------------
     def run(self, tool_names: list[str], program_names: list[str]) -> CampaignResult:
-        """Run all campaign cells; the result is bit-identical to serial runs."""
-        if self.engine not in ("percell", "pool"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'percell' or 'pool'"
-            )
+        """Run all campaign cells; the result is bit-identical to serial runs.
+
+        A single-pass campaign (``allocator=None``) is one round of the
+        uniform allocator.  It differs from an allocated one only in what
+        it records: whole cells rather than round slices, no ``alloc_*``
+        events, and no allocation ledger.
+        """
+        from repro.harness.allocator import AllocationRun, UniformAllocator, slice_seed
+
         _register_default_factories()
-        if self.config.allocator is not None:
-            return self._run_allocated(tool_names, program_names)
-        sink = self.telemetry
-        specs, deterministic = self._build_specs(tool_names, program_names)
-        self._total_cells = len(specs)
-        store, store_owned = self._open_store()
-        try:
-            if store is not None:
-                store.begin_campaign(self._checkpoint_header(tool_names, program_names))
-            completed = self._load_checkpoint(specs, tool_names, program_names)
-            if store is not None:
-                # Checkpoint records win (they went through the same recorder);
-                # the store fills in cells the checkpoint missed — e.g. a crash
-                # between the store append and the checkpoint append.
-                valid_keys = {spec.key for spec in specs}
-                for key, result in store.completed().items():
-                    if key in valid_keys and key not in completed:
-                        completed[key] = result
-            pending = [spec for spec in specs if spec.key not in completed]
-            start = time.perf_counter()
-            sink.emit(
-                "campaign_start",
-                tools=list(tool_names),
-                programs=list(program_names),
-                trials=self.config.trials,
-                total_cells=len(specs),
-                resumed_cells=len(completed),
-                processes=self._process_count(),
-            )
-            stats = {"retries": 0, "failed": 0, "executions": 0}
-            recorder = self._make_recorder(completed, stats, sink, store)
-            if self._process_count() == 0:
-                for spec in pending:
-                    self._run_serial_cell(spec, 1, recorder, stats, sink)
-            else:
-                self._execute_parallel(pending, recorder, stats, sink)
-            wall_time = time.perf_counter() - start
-            sink.emit(
-                "campaign_end",
-                wall_time=wall_time,
-                cells=len(completed),
-                failed_cells=stats["failed"],
-                retries=stats["retries"],
-                executions=stats["executions"],
-                schedules_per_sec=stats["executions"] / wall_time if wall_time > 0 else 0.0,
-            )
-            return self._assemble(tool_names, program_names, deterministic, completed)
-        finally:
-            self._close_pool()
-            if store_owned:
-                store.close()
-
-    def _open_store(self):
-        """Resolve the ``store`` field to (CorpusStore | None, owned)."""
-        if self.store is None:
-            return None, False
-        if isinstance(self.store, (str, Path)):
-            from repro.harness.store import CorpusStore
-
-            return CorpusStore(self.store), True
-        return self.store, False
-
-    # -- allocated (round-based) execution ------------------------------
-    def _run_allocated(self, tool_names: list[str], program_names: list[str]) -> CampaignResult:
-        """The round-based path: identical plans and slice seeds to the
-        serial engine (both drive ``AllocationRun``), with each round's
-        missing slices dispatched through the normal worker machinery —
-        so crash isolation, retries, timeouts, supervision and degraded
-        fallback all apply per slice."""
-        from repro.harness.allocator import AllocationRun, slice_seed
-
         sink = self.telemetry
         allocator = self.config.allocator
+        single_pass = allocator is None
         cells, deterministic, refs = self._build_cells(tool_names, program_names)
         self._total_cells = len(cells)
+        # Built before the store opens: the constructor starts no process,
+        # and a bad start method or profile_dir leaves no store to close.
+        pool = WorkerPool(self, mp.get_context(self.start_method or _default_start_method()))
         store, store_owned = self._open_store()
         try:
-            header = self._checkpoint_header(tool_names, program_names)
+            header = campaign_header(self.config, tool_names, program_names)
             valid_keys = {cell.key for cell in cells}
             done_cells, done_slices = self._load_allocated_checkpoint(header, valid_keys)
             if store is not None:
+                # Checkpoint records win (they went through the same
+                # recorder); the store fills in work the checkpoint missed —
+                # e.g. a crash between the store and the checkpoint append.
                 store.begin_campaign(header)
                 for key, result in store.completed().items():
                     if key in valid_keys and key not in done_cells:
@@ -400,7 +213,9 @@ class ParallelCampaign:
                     if slice_key[:3] in valid_keys and slice_key not in done_slices:
                         done_slices[slice_key] = result
             sliced_cells = {slice_key[:3] for slice_key in done_slices}
-            run_state = AllocationRun(allocator, cells, self.config.base_seed)
+            run_state = AllocationRun(
+                allocator or UniformAllocator(), cells, self.config.base_seed
+            )
             start = time.perf_counter()
             sink.emit(
                 "campaign_start",
@@ -414,39 +229,41 @@ class ParallelCampaign:
             stats = {"retries": 0, "failed": 0, "executions": 0}
             while (plan := run_state.next_plan()) is not None:
                 round_index = run_state.round_index
-                sink.emit(
-                    "alloc_round",
-                    allocator=allocator.name,
-                    round=round_index,
-                    budget=sum(plan.values()),
-                    cells=len(plan),
-                )
                 estimates = run_state.estimates()
+                if not single_pass:
+                    sink.emit(
+                        "alloc_round",
+                        allocator=allocator.name,
+                        round=round_index,
+                        budget=sum(plan.values()),
+                        cells=len(plan),
+                    )
                 round_results: dict[tuple[str, str, int], BugSearchResult] = {}
                 recorder = self._make_recorder(
-                    round_results, stats, sink, store, slice_round=round_index
+                    round_results, stats, store, None if single_pass else round_index
                 )
                 pending: list[CellSpec] = []
                 for key in sorted(plan):
                     tool_name, program_name, trial = key
-                    sink.emit(
-                        "alloc_estimate",
-                        allocator=allocator.name,
-                        round=round_index,
-                        tool=tool_name,
-                        program=program_name,
-                        trial=trial,
-                        allocated=plan[key],
-                        estimate=estimates.get(key),
-                    )
+                    if not single_pass:
+                        sink.emit(
+                            "alloc_estimate",
+                            allocator=allocator.name,
+                            round=round_index,
+                            tool=tool_name,
+                            program=program_name,
+                            trial=trial,
+                            allocated=plan[key],
+                            estimate=estimates.get(key),
+                        )
                     slice_key = (tool_name, program_name, trial, round_index)
                     if slice_key in done_slices:
                         round_results[key] = done_slices[slice_key]
                         continue
                     if round_index == 0 and key in done_cells and key not in sliced_cells:
-                        # A store/checkpoint written by the single-pass path
-                        # (only header-compatible under the uniform
-                        # allocator): the whole cell is already done.
+                        # A whole cell recorded by a single-pass campaign
+                        # (header-compatible only with a one-round uniform
+                        # plan): it is already done.
                         round_results[key] = done_cells[key]
                         continue
                     pending.append(
@@ -457,29 +274,24 @@ class ParallelCampaign:
                             seed=slice_seed(self.config.base_seed, trial, round_index),
                             budget=plan[key],
                             factory_ref=refs[tool_name],
-                            fault_hook=self.fault_hook,
-                            sanitizers=tuple(self.config.sanitizers),
-                            verify_replays=self.config.verify_replays,
-                            guard=(
-                                self.config.guard.as_tuple()
-                                if self.config.guard is not None
-                                else None
-                            ),
                         )
                     )
-                if pending:
-                    if self._process_count() == 0:
-                        for spec in pending:
-                            self._run_serial_cell(spec, 1, recorder, stats, sink)
-                    else:
-                        self._execute_parallel(pending, recorder, stats, sink)
+                #: Failure kinds of every lost attempt per slice of this
+                #: round, for triage.
+                self._failure_kinds: dict[tuple[str, str, int], list[str]] = {}
+                # The pool persists across rounds (worker caches amortize
+                # over the whole campaign).
+                pool.execute(pending, recorder, stats)
                 run_state.observe(plan, round_results)
             merged = run_state.merged()
-            if store is not None:
+            if store is not None and not single_pass:
+                # Slices are in the store; add each cell's merged record.
                 already = store.completed()
                 for key in sorted(merged):
                     if key not in already:
                         store.record_result(merged[key])
+            # Every worker exits before campaign_end, the stream's last record.
+            pool.close()
             wall_time = time.perf_counter() - start
             sink.emit(
                 "campaign_end",
@@ -491,15 +303,23 @@ class ParallelCampaign:
                 schedules_per_sec=stats["executions"] / wall_time if wall_time > 0 else 0.0,
             )
             outcome = self._assemble(tool_names, program_names, deterministic, merged)
-            outcome.allocation = run_state.ledger()
+            if not single_pass:
+                outcome.allocation = run_state.ledger()
             return outcome
         finally:
-            # The pool persists across allocation rounds (that is the point:
-            # worker caches amortize over the whole campaign); it is torn
-            # down only here, once the last round has run.
-            self._close_pool()
+            pool.close()  # abort path: leak no workers
             if store_owned:
                 store.close()
+
+    def _open_store(self):
+        """Resolve the ``store`` field to (CorpusStore | None, owned)."""
+        if self.store is None:
+            return None, False
+        if isinstance(self.store, (str, Path)):
+            from repro.harness.store import CorpusStore
+
+            return CorpusStore(self.store), True
+        return self.store, False
 
     def _build_cells(self, tool_names: list[str], program_names: list[str]):
         """The allocator's view of the campaign: CellInfo per cell, plus the
@@ -562,87 +382,21 @@ class ParallelCampaign:
                 done_cells.setdefault(key, result)
         return done_cells, done_slices
 
-    # -- cell spec construction ----------------------------------------
-    def _build_specs(
-        self, tool_names: list[str], program_names: list[str]
-    ) -> tuple[list[CellSpec], set[str]]:
-        deterministic: set[str] = set()
-        specs: list[CellSpec] = []
-        for tool_name in tool_names:
-            if tool_name not in _TOOL_FACTORIES:
-                raise KeyError(f"unknown tool {tool_name!r}; known: {sorted(_TOOL_FACTORIES)}")
-            factory = _TOOL_FACTORIES[tool_name]
-            ref = factory_ref(factory)
-            if factory().deterministic:
-                deterministic.add(tool_name)
-            trials = 1 if tool_name in deterministic else self.config.trials
-            for program_name in program_names:
-                budget = self.config.budget_for(program_name)
-                for trial in range(trials):
-                    seed = self.config.base_seed + 7919 * trial
-                    specs.append(
-                        CellSpec(
-                            tool=tool_name,
-                            program=program_name,
-                            trial=trial,
-                            seed=seed,
-                            budget=budget,
-                            factory_ref=ref,
-                            fault_hook=self.fault_hook,
-                            sanitizers=tuple(self.config.sanitizers),
-                            verify_replays=self.config.verify_replays,
-                            guard=(
-                                self.config.guard.as_tuple()
-                                if self.config.guard is not None
-                                else None
-                            ),
-                        )
-                    )
-        return specs, deterministic
-
     def _process_count(self) -> int:
         if self.processes is None:
             return os.cpu_count() or 1
         return self.processes
-
-    # -- checkpointing --------------------------------------------------
-    def _checkpoint_header(self, tool_names: list[str], program_names: list[str]) -> dict[str, Any]:
-        return campaign_header(self.config, tool_names, program_names)
-
-    def _load_checkpoint(
-        self, specs: list[CellSpec], tool_names: list[str], program_names: list[str]
-    ) -> dict[tuple[str, str, int], BugSearchResult]:
-        """Resume completed cells from the checkpoint file (if any)."""
-        if self.checkpoint is None:
-            return {}
-        header = self._checkpoint_header(tool_names, program_names)
-        records = read_jsonl(self.checkpoint)
-        if not records:
-            append_jsonl(header, self.checkpoint)
-            return {}
-        if records[0] != header:
-            raise CampaignError(
-                f"checkpoint {self.checkpoint} belongs to a different campaign: "
-                f"{records[0]!r} != {header!r}"
-            )
-        valid_keys = {spec.key for spec in specs}
-        completed: dict[tuple[str, str, int], BugSearchResult] = {}
-        for record in records[1:]:
-            result = result_from_dict(record["result"])
-            key = (result.tool, result.program, result.trial)
-            if key in valid_keys:
-                completed[key] = result
-        return completed
 
     # -- result recording ----------------------------------------------
     def _make_recorder(
         self,
         completed: dict[tuple[str, str, int], BugSearchResult],
         stats: dict[str, int],
-        sink: TelemetrySink,
         store=None,
         slice_round: int | None = None,
     ) -> Callable[[CellSpec, int, CellOutcome | None, BugSearchResult], None]:
+        sink = self.telemetry
+
         def record(
             spec: CellSpec, attempt: int, outcome: CellOutcome | None, result: BugSearchResult
         ) -> None:
@@ -708,10 +462,9 @@ class ParallelCampaign:
         detail: str,
         recorder,
         stats: dict[str, int],
-        sink: TelemetrySink,
     ) -> None:
         stats["failed"] += 1
-        sink.emit(
+        self.telemetry.emit(
             "cell_error",
             tool=spec.tool,
             program=spec.program,
@@ -739,233 +492,6 @@ class ParallelCampaign:
                 error=f"{kind} after {attempts} attempt(s): {detail}",
             ),
         )
-
-    # -- serial fallback -----------------------------------------------
-    def _run_serial_cell(
-        self, spec: CellSpec, attempt: int, recorder, stats: dict[str, int], sink: TelemetrySink
-    ) -> None:
-        sink.emit(
-            "cell_start", tool=spec.tool, program=spec.program, trial=spec.trial, attempt=attempt
-        )
-        try:
-            outcome = _run_cell(spec)
-        except Exception as exc:  # deterministic failure: no retry in-process
-            self._fail(spec, attempt, "error", f"{type(exc).__name__}: {exc}", recorder, stats, sink)
-            return
-        recorder(spec, attempt, outcome, outcome.result)
-
-    # -- pooled execution -----------------------------------------------
-    def _pool_heartbeat_seconds(self) -> float | None:
-        """Heartbeat period for pooled workers (None = no heartbeats) —
-        subclass hook; the supervised engine returns its configured period."""
-        return None
-
-    def _pool_kwargs(self) -> dict[str, Any]:
-        """Extra WorkerPool arguments — subclass hook (the supervised engine
-        adds its lease timeout and retry backoff)."""
-        return {}
-
-    def _ensure_pool(self):
-        """The campaign's persistent worker pool, created on first use and
-        kept alive across allocation rounds so worker caches amortize."""
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            return pool
-        from repro.harness.pool import WorkerPool, WorkerProfile
-
-        profile_dir = None
-        if self.profile_dir is not None:
-            profile_dir = str(self.profile_dir)
-            Path(profile_dir).mkdir(parents=True, exist_ok=True)
-        profile = WorkerProfile(
-            sanitizers=tuple(self.config.sanitizers),
-            verify_replays=self.config.verify_replays,
-            guard=self.config.guard.as_tuple() if self.config.guard is not None else None,
-            fault_hook=self.fault_hook,
-            heartbeat_seconds=self._pool_heartbeat_seconds(),
-            profile_dir=profile_dir,
-            env=_rff_env_snapshot(),
-        )
-        context = mp.get_context(self.start_method or _default_start_method())
-        self._pool = WorkerPool(
-            context=context,
-            size=max(1, self._process_count()),
-            profile=profile,
-            batch_size=self.batch_size,
-            **self._pool_kwargs(),
-        )
-        return self._pool
-
-    def _close_pool(self) -> None:
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            self._pool = None
-            pool.close(self.telemetry)
-
-    # -- parallel execution --------------------------------------------
-    def _worker_invocation(self, child_conn, spec: CellSpec) -> tuple[Callable, tuple]:
-        """The (target, args) a worker process runs — subclass hook (the
-        supervised engine swaps in a heartbeat-emitting entrypoint)."""
-        return _worker_main, (child_conn, spec)
-
-    def _launch(self, context, spec: CellSpec, attempt: int, sink: TelemetrySink) -> _Worker | None:
-        """Start one worker process; None when the pool is dead (degrade)."""
-        sink.emit(
-            "cell_start", tool=spec.tool, program=spec.program, trial=spec.trial, attempt=attempt
-        )
-        try:
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            target, args = self._worker_invocation(child_conn, spec)
-            proc = context.Process(
-                target=_restore_env_then,
-                args=(dict(_rff_env_snapshot()), target, args),
-                daemon=True,
-            )
-            proc.start()
-        except OSError:
-            return None
-        child_conn.close()
-        sink.emit(
-            "worker_start", pid=proc.pid, tool=spec.tool, program=spec.program, trial=spec.trial
-        )
-        return _Worker(
-            spec=spec, attempt=attempt, proc=proc, conn=parent_conn, started=time.perf_counter()
-        )
-
-    @staticmethod
-    def _kill(worker: _Worker) -> None:
-        worker.proc.terminate()
-        worker.proc.join(timeout=5)
-        if worker.proc.is_alive():  # pragma: no cover - terminate() suffices
-            worker.proc.kill()
-            worker.proc.join()
-        worker.conn.close()
-
-    def _retry_or_fail(
-        self,
-        worker: _Worker,
-        kind: str,
-        detail: str,
-        queue: deque,
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        if worker.attempt <= self.max_retries:
-            stats["retries"] += 1
-            sink.emit(
-                "cell_retry",
-                tool=worker.spec.tool,
-                program=worker.spec.program,
-                trial=worker.spec.trial,
-                attempt=worker.attempt,
-                kind=kind,
-            )
-            queue.append((worker.spec, worker.attempt + 1))
-        else:
-            self._fail(worker.spec, worker.attempt, kind, detail, recorder, stats, sink)
-
-    def _reap(
-        self,
-        worker: _Worker,
-        queue: deque,
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        """Handle a worker whose pipe became readable (result or death)."""
-        try:
-            kind, payload = worker.conn.recv()
-        except (EOFError, OSError):
-            worker.proc.join()
-            worker.conn.close()
-            exitcode = worker.proc.exitcode
-            sink.emit("worker_exit", pid=worker.proc.pid, exitcode=exitcode, kind="crash")
-            self._retry_or_fail(
-                worker,
-                "crash",
-                f"worker died with exit code {exitcode}",
-                queue,
-                recorder,
-                stats,
-                sink,
-            )
-            return
-        worker.conn.close()
-        worker.proc.join()
-        sink.emit("worker_exit", pid=worker.proc.pid, exitcode=worker.proc.exitcode, kind="ok")
-        if kind == "ok":
-            recorder(worker.spec, worker.attempt, payload, payload.result)
-        else:
-            # A deterministic in-worker exception; retrying cannot help.
-            self._fail(worker.spec, worker.attempt, "error", payload, recorder, stats, sink)
-
-    def _execute_parallel(
-        self,
-        specs: list[CellSpec],
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        if self.engine == "pool":
-            self._ensure_pool().execute(specs, recorder, stats, sink, self)
-            return
-        context = mp.get_context(self.start_method or _default_start_method())
-        capacity = max(1, self._process_count())
-        queue: deque[tuple[CellSpec, int]] = deque((spec, 1) for spec in specs)
-        active: dict[Any, _Worker] = {}
-        degraded = False
-        try:
-            while queue or active:
-                while not degraded and queue and len(active) < capacity:
-                    spec, attempt = queue.popleft()
-                    worker = self._launch(context, spec, attempt, sink)
-                    if worker is None:
-                        degraded = True
-                        sink.emit(
-                            "pool_degraded",
-                            reason="worker process could not be started; "
-                            "running remaining cells serially in-process",
-                        )
-                        queue.appendleft((spec, attempt))
-                        break
-                    active[worker.conn] = worker
-                if not active:
-                    if degraded and queue:
-                        spec, attempt = queue.popleft()
-                        self._run_serial_cell(spec, attempt, recorder, stats, sink)
-                    continue
-                timeout = None
-                if self.cell_timeout is not None:
-                    now = time.perf_counter()
-                    nearest = min(w.started + self.cell_timeout for w in active.values())
-                    timeout = max(0.0, nearest - now)
-                for conn in mp_connection.wait(list(active), timeout=timeout):
-                    self._reap(active.pop(conn), queue, recorder, stats, sink)
-                if self.cell_timeout is not None:
-                    now = time.perf_counter()
-                    for conn, worker in list(active.items()):
-                        if now - worker.started >= self.cell_timeout:
-                            del active[conn]
-                            self._kill(worker)
-                            sink.emit(
-                                "worker_exit",
-                                pid=worker.proc.pid,
-                                exitcode=worker.proc.exitcode,
-                                kind="timeout",
-                            )
-                            self._retry_or_fail(
-                                worker,
-                                "timeout",
-                                f"cell exceeded {self.cell_timeout:g}s timeout",
-                                queue,
-                                recorder,
-                                stats,
-                                sink,
-                            )
-        finally:
-            for worker in active.values():  # abort path: leak no workers
-                self._kill(worker)
 
     # -- assembly -------------------------------------------------------
     def _assemble(

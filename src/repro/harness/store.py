@@ -3,10 +3,11 @@
 A campaign that runs unattended for hours must survive SIGKILL at any
 instant and resume *bit-identically* — no lost bugs, no duplicated cells,
 no silent corruption.  :class:`CorpusStore` is the single write path that
-serial (:class:`~repro.harness.campaign.Campaign`), parallel
-(:class:`~repro.harness.parallel.ParallelCampaign`), and supervised
-(:class:`~repro.harness.supervisor.SupervisedCampaign`) campaigns all
-share.  The design is a miniature write-ahead log:
+the serial :class:`~repro.harness.campaign.Campaign` and the pooled
+:class:`~repro.harness.parallel.ParallelCampaign` (supervised or not)
+share.  A pooled campaign writes from its dispatching process as slice
+replies arrive; workers never open the store, so a killed worker can
+never tear a record.  The design is a miniature write-ahead log:
 
 * **Append-only JSONL segments** (``segment-000000.jsonl`` …).  Each
   record is one checksummed JSON line

@@ -1,23 +1,26 @@
-"""Supervised campaign execution: heartbeats, leases, backoff, triage.
+"""Supervised campaigns: heartbeats, leases, backoff, triage.
 
-The parallel engine detects *dead* workers (closed pipe) and *slow* cells
-(``cell_timeout``), but a wedged worker — deadlocked runtime, stuck I/O, a
-scheduler bug that spins without progress — looks alive to both until the
-full cell timeout burns down.  Long unattended campaigns need a tighter
-liveness contract.  :class:`SupervisedCampaign` adds one:
+A plain :class:`~repro.harness.parallel.ParallelCampaign` detects *dead*
+workers (closed pipe) and *stuck* slices (``cell_timeout``), but a wedged
+worker — deadlocked runtime, stuck I/O, a scheduler bug that spins without
+progress — looks alive to both until the full timeout burns down.  Long
+unattended campaigns need a tighter liveness contract.
+:class:`SupervisedCampaign` adds one, as settings the worker pool of
+:mod:`repro.harness.pool` reads:
 
-* **Heartbeats.**  Supervised workers run a daemon thread that sends a
-  ``("heartbeat", seq)`` message every ``heartbeat_seconds``.  The beat
-  thread deliberately stops when the worker is *wedged*
+* **Heartbeats.**  Pool workers run a daemon thread that sends a
+  ``("heartbeat", seq, identity)`` message every ``heartbeat_seconds``.
+  The beat thread deliberately stops when the worker is *wedged*
   (:func:`repro.harness.faults.is_wedged` — set by hang-style faults, and
   the model for a runtime that stops making progress), so liveness is
   judged by the parent, never self-reported by cooperative code.
-* **Leases.**  Each running cell holds a lease that renews on every
-  heartbeat; a worker silent for ``lease_seconds`` loses it, is killed,
-  and its cell is reassigned to a fresh worker.
-* **Exponential backoff.**  A reassigned cell waits
-  ``min(backoff_cap, backoff_base * 2**(attempt-1))`` seconds before its
-  next attempt, so a crashing cell cannot hot-loop the pool while healthy
+* **Leases.**  Each worker holds a lease that renews on every message; a
+  worker silent for ``lease_seconds`` loses it, is killed, and the
+  unfinished slices of its batch are reassigned to a fresh worker (only
+  the slice it was running is charged an attempt).
+* **Exponential backoff.**  A reassigned slice waits
+  :meth:`SupervisedCampaign.backoff_delay` seconds before its next
+  attempt, so a crashing cell cannot hot-loop the pool while healthy
   cells proceed.
 * **Bounded retries with triage.**  The retry budget is inherited from
   :class:`~repro.harness.parallel.ParallelCampaign` (``max_retries``).
@@ -27,70 +30,16 @@ liveness contract.  :class:`SupervisedCampaign` adds one:
   classification lands in the structured error result and the
   ``cell_error`` telemetry record.
 
-Everything else — crash isolation, degraded serial fallback, checkpoint
-and store resume, bit-identical results — is inherited unchanged; the
-supervised engine only swaps the worker entrypoint and the wait loop.
-Under ``engine="pool"`` the same heartbeat/lease contract carries over to
-the persistent batched workers of :mod:`repro.harness.pool`: pooled workers
-beat at ``heartbeat_seconds``, a silent worker loses its lease after
-``lease_seconds``, and replayed slices back off via :meth:`backoff_delay`.
+Everything else — crash isolation, degraded in-process fallback,
+checkpoint and store resume, bit-identical results — is the plain
+campaign's, unchanged.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import threading
-import time
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
-from typing import Callable
 
-from repro.harness import faults
-from repro.harness.parallel import (
-    CellSpec,
-    ParallelCampaign,
-    _default_start_method,
-    _run_cell,
-    _Worker,
-)
-from repro.harness.telemetry import TelemetrySink
-
-
-def _supervised_worker_main(conn, spec: CellSpec, heartbeat_seconds: float) -> None:
-    """Worker entrypoint that also emits heartbeats from a daemon thread.
-
-    The send lock keeps heartbeat and result messages from interleaving on
-    the pipe.  A wedged worker (hang fault, stuck runtime) stops beating
-    but stays alive — exactly the failure the parent's lease must catch.
-    """
-    send_lock = threading.Lock()
-    stop = threading.Event()
-
-    def beat() -> None:
-        seq = 0
-        while not stop.wait(heartbeat_seconds):
-            if faults.is_wedged():
-                continue
-            seq += 1
-            with send_lock:
-                if stop.is_set():
-                    return
-                try:
-                    conn.send(("heartbeat", seq))
-                except OSError:  # parent gone; nothing left to report to
-                    return
-
-    threading.Thread(target=beat, daemon=True).start()
-    try:
-        payload = ("ok", _run_cell(spec))
-    except BaseException as exc:  # noqa: BLE001 - must not leak workers
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    stop.set()
-    with send_lock:
-        try:
-            conn.send(payload)
-        finally:
-            conn.close()
+from repro.harness.parallel import ParallelCampaign
 
 
 @dataclass
@@ -98,9 +47,9 @@ class SupervisedCampaign(ParallelCampaign):
     """A :class:`~repro.harness.parallel.ParallelCampaign` whose workers are
     held to a heartbeat/lease liveness contract.
 
-    Results are bit-identical to the serial and plain-parallel engines —
+    Results are bit-identical to the serial and plain-parallel campaigns —
     supervision only changes *when* failures are detected and how retried
-    cells are paced, never what a completed cell computes.
+    slices are paced, never what a completed slice computes.
     """
 
     #: Interval between worker heartbeats.
@@ -116,200 +65,8 @@ class SupervisedCampaign(ParallelCampaign):
         """Delay before retry #``attempt`` (1-based): capped exponential."""
         return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
-    def _worker_invocation(self, child_conn, spec: CellSpec) -> tuple[Callable, tuple]:
-        return _supervised_worker_main, (child_conn, spec, self.heartbeat_seconds)
-
-    # -- pooled execution -----------------------------------------------
-    def _pool_heartbeat_seconds(self) -> float | None:
-        """Pooled workers beat at the supervised cadence, so the same lease
-        contract applies under ``engine="pool"``."""
-        return self.heartbeat_seconds
-
-    def _pool_kwargs(self) -> dict:
-        return {"lease_seconds": self.lease_seconds, "backoff": self.backoff_delay}
-
-    # -- failure accounting --------------------------------------------
     def _classify(self, key: tuple[str, str, int]) -> str:
         kinds = self._failure_kinds.get(key, [])
         if len(set(kinds)) == 1:
             return f"deterministic crasher: every attempt failed with {kinds[0]!r}"
         return f"flaky environment: attempts failed with {sorted(set(kinds))}"
-
-    def _supervise_retry(
-        self,
-        worker: _Worker,
-        kind: str,
-        detail: str,
-        queue: list,
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        spec = worker.spec
-        self._failure_kinds.setdefault(spec.key, []).append(kind)
-        if worker.attempt <= self.max_retries:
-            stats["retries"] += 1
-            sink.emit(
-                "cell_retry",
-                tool=spec.tool,
-                program=spec.program,
-                trial=spec.trial,
-                attempt=worker.attempt,
-                kind=kind,
-            )
-            delay = self.backoff_delay(worker.attempt)
-            sink.emit(
-                "lease_reassign",
-                tool=spec.tool,
-                program=spec.program,
-                trial=spec.trial,
-                attempt=worker.attempt,
-                kind=kind,
-                delay=delay,
-            )
-            queue.append((spec, worker.attempt + 1, time.perf_counter() + delay))
-        else:
-            self._fail(
-                spec,
-                worker.attempt,
-                kind,
-                f"{detail} [{self._classify(spec.key)}]",
-                recorder,
-                stats,
-                sink,
-            )
-
-    # -- message handling ----------------------------------------------
-    def _handle_message(
-        self,
-        worker: _Worker,
-        queue: list,
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> bool:
-        """Process one pipe message; True when the worker is finished."""
-        try:
-            kind, payload = worker.conn.recv()
-        except (EOFError, OSError):
-            worker.proc.join()
-            worker.conn.close()
-            exitcode = worker.proc.exitcode
-            sink.emit("worker_exit", pid=worker.proc.pid, exitcode=exitcode, kind="crash")
-            self._supervise_retry(
-                worker,
-                "crash",
-                f"worker died with exit code {exitcode}",
-                queue,
-                recorder,
-                stats,
-                sink,
-            )
-            return True
-        if kind == "heartbeat":
-            worker.last_beat = time.perf_counter()
-            sink.emit(
-                "heartbeat",
-                pid=worker.proc.pid,
-                tool=worker.spec.tool,
-                program=worker.spec.program,
-                trial=worker.spec.trial,
-                seq=payload,
-            )
-            return False
-        worker.conn.close()
-        worker.proc.join()
-        sink.emit("worker_exit", pid=worker.proc.pid, exitcode=worker.proc.exitcode, kind="ok")
-        if kind == "ok":
-            recorder(worker.spec, worker.attempt, payload, payload.result)
-        else:
-            # A deterministic in-worker exception; retrying cannot help.
-            self._fail(worker.spec, worker.attempt, "error", payload, recorder, stats, sink)
-        return True
-
-    # -- the supervised wait loop --------------------------------------
-    def _execute_parallel(
-        self,
-        specs: list[CellSpec],
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        if self.engine == "pool":
-            self._ensure_pool().execute(specs, recorder, stats, sink, self)
-            return
-        context = mp.get_context(self.start_method or _default_start_method())
-        capacity = max(1, self._process_count())
-        now = time.perf_counter()
-        #: (spec, attempt, not_before) — backoff holds retries out of the pool.
-        queue: list[tuple[CellSpec, int, float]] = [(spec, 1, now) for spec in specs]
-        active: dict = {}
-        degraded = False
-        self._failure_kinds = {}
-        try:
-            while queue or active:
-                now = time.perf_counter()
-                while not degraded and queue and len(active) < capacity:
-                    index = next(
-                        (i for i, entry in enumerate(queue) if entry[2] <= now), None
-                    )
-                    if index is None:
-                        break
-                    spec, attempt, _ = queue.pop(index)
-                    worker = self._launch(context, spec, attempt, sink)
-                    if worker is None:
-                        degraded = True
-                        sink.emit(
-                            "pool_degraded",
-                            reason="worker process could not be started; "
-                            "running remaining cells serially in-process",
-                        )
-                        queue.insert(0, (spec, attempt, now))
-                        break
-                    worker.last_beat = worker.started
-                    active[worker.conn] = worker
-                if not active:
-                    if degraded and queue:
-                        spec, attempt, _ = queue.pop(0)
-                        self._run_serial_cell(spec, attempt, recorder, stats, sink)
-                    elif queue:
-                        # Everything is backing off; sleep to the nearest
-                        # retry-ready time instead of spinning.
-                        time.sleep(max(0.0, min(e[2] for e in queue) - now))
-                    continue
-                deadlines = [w.last_beat + self.lease_seconds for w in active.values()]
-                if self.cell_timeout is not None:
-                    deadlines += [w.started + self.cell_timeout for w in active.values()]
-                deadlines += [entry[2] for entry in queue if entry[2] > now]
-                timeout = max(0.0, min(deadlines) - now)
-                for conn in mp_connection.wait(list(active), timeout=timeout):
-                    if self._handle_message(active[conn], queue, recorder, stats, sink):
-                        del active[conn]
-                now = time.perf_counter()
-                for conn, worker in list(active.items()):
-                    timed_out = (
-                        self.cell_timeout is not None
-                        and now - worker.started >= self.cell_timeout
-                    )
-                    lease_lost = now - worker.last_beat >= self.lease_seconds
-                    if not (timed_out or lease_lost):
-                        continue
-                    del active[conn]
-                    self._kill(worker)
-                    kind = "timeout" if timed_out else "lease"
-                    sink.emit(
-                        "worker_exit",
-                        pid=worker.proc.pid,
-                        exitcode=worker.proc.exitcode,
-                        kind=kind,
-                    )
-                    detail = (
-                        f"cell exceeded {self.cell_timeout:g}s timeout"
-                        if timed_out
-                        else f"worker missed its heartbeat deadline "
-                        f"({self.lease_seconds:g}s lease expired)"
-                    )
-                    self._supervise_retry(worker, kind, detail, queue, recorder, stats, sink)
-        finally:
-            for worker in active.values():  # abort path: leak no workers
-                self._kill(worker)

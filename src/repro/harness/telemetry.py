@@ -122,7 +122,7 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
     ),
     "cell_retry": frozenset({"tool", "program", "trial", "attempt", "kind"}),
     "cell_error": frozenset({"tool", "program", "trial", "attempts", "kind", "detail"}),
-    "worker_start": frozenset({"pid", "tool", "program", "trial"}),
+    "worker_start": frozenset({"pid"}),
     "worker_exit": frozenset({"pid", "exitcode", "kind"}),
     "pool_degraded": frozenset({"reason"}),
     "sanitizer_report": frozenset(

@@ -165,7 +165,7 @@ class TestLaplaceEngineEquivalence:
     @pytest.mark.parametrize("start_method", ["fork", "forkserver"])
     def test_pooled_matches_serial(self, laplace_serial, start_method):
         engine = ParallelCampaign(
-            LAPLACE_CONFIG, processes=2, engine="pool", start_method=start_method
+            LAPLACE_CONFIG, processes=2, start_method=start_method
         )
         pooled = engine.run(TOOLS, PROGRAMS)
         assert pooled.results == laplace_serial.results

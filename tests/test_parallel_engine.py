@@ -22,6 +22,7 @@ from repro.harness.parallel import (
     register_tool,
 )
 from repro.harness.persist import read_jsonl
+from repro.harness.pool import WorkerPool
 from repro.harness.telemetry import TelemetryAggregator
 from repro.harness.tools import (
     PerExecutionPolicyTool,
@@ -180,9 +181,7 @@ class TestFaultTolerance:
     def test_dead_pool_degrades_to_serial(self, serial, monkeypatch):
         """When worker processes cannot start at all, the engine runs the
         cells in-process instead of failing the campaign."""
-        monkeypatch.setattr(
-            ParallelCampaign, "_launch", lambda self, ctx, spec, attempt, sink: None
-        )
+        monkeypatch.setattr(WorkerPool, "_spawn", lambda self: None)
         telemetry = TelemetryAggregator()
         parallel = ParallelCampaign(CONFIG, processes=2, telemetry=telemetry).run(
             TOOLS, PROGRAMS

@@ -6,7 +6,7 @@ slices are never re-run (no duplication), unfinished ones are never
 dropped (no loss) — and a pooled campaign driven through the durable
 store, killed and resumed as the faults demand, converges bit-identically
 to the fault-free serial result.  Same plans, same claim-once state, same
-assertions as ``tests/test_chaos.py``, pointed at ``engine="pool"``.
+assertions as ``tests/test_chaos.py``, with small pooled batches.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro import bench
 from repro.harness import faults
 from repro.harness.campaign import Campaign, CampaignConfig
 from repro.harness.faults import ChaosKill, ChaosPlan
+from repro.harness.parallel import ParallelCampaign
 from repro.harness.store import CorpusStore
 from repro.harness.supervisor import SupervisedCampaign
 from repro.harness.telemetry import TelemetryAggregator
@@ -66,7 +67,6 @@ class TestKillMidBatchReplay:
         result = SupervisedCampaign(
             CONFIG,
             processes=2,
-            engine="pool",
             batch_size=4,
             telemetry=aggregator,
             fault_hook=faults.CHAOS_HOOK_REF,
@@ -92,20 +92,51 @@ class TestKillMidBatchReplay:
         # And the survivors are bit-identical to the fault-free serial run.
         assert result == serial
 
-    def test_percell_engine_same_plan_same_result(self, serial, tmp_path, monkeypatch):
-        """The identical kill plan through the per-cell engine: same answer."""
-        arm(monkeypatch, tmp_path, ChaosPlan(seed=seed_with_kill(), kill=0.3))
+
+class TestCrashIsolationInBatch:
+    """A slice that kills its worker every time fails alone: the slices
+    batched with it (before and behind) still land, bit-identical."""
+
+    #: One worker and 16 cells pack into batches of four slices.
+    config = CampaignConfig(trials=4, budget=80, base_seed=7)
+
+    @pytest.fixture(scope="class")
+    def serial4(self):
+        return Campaign(self.config).run(
+            [RffTool(), random_tool()], [bench.get(p) for p in PROGRAMS]
+        )
+
+    @pytest.mark.parametrize(
+        "engine, max_retries",
+        [(ParallelCampaign, 0), (SupervisedCampaign, 2)],
+        ids=["parallel-no-retries", "supervised-two-retries"],
+    )
+    def test_crasher_fails_alone(self, serial4, engine, max_retries, monkeypatch):
+        # The second slice of the first batch: one slice completes before
+        # it, two never start behind it.
+        target = ("RFF", "CS/account", 1)
+        monkeypatch.setenv(faults.ENV_TARGET, faults.cell_key(*target))
         aggregator = TelemetryAggregator()
-        result = SupervisedCampaign(
-            CONFIG,
-            processes=2,
+        kwargs = {"backoff_base": 0.01} if engine is SupervisedCampaign else {}
+        result = engine(
+            self.config,
+            processes=1,
+            batch_size=4,
+            max_retries=max_retries,
             telemetry=aggregator,
-            fault_hook=faults.CHAOS_HOOK_REF,
-            heartbeat_seconds=0.05,
-            backoff_base=0.01,
+            fault_hook=faults.CRASH_ALWAYS_REF,
+            **kwargs,
         ).run(TOOLS, PROGRAMS)
-        assert aggregator.retries >= 1
-        assert result == serial
+        assert aggregator.of_type("batch_dispatch")[0]["slices"] == 4
+        assert aggregator.of_type("campaign_end")[0]["failed_cells"] == 1
+        assert aggregator.retries == max_retries
+        for (tool, program), cells in serial4.results.items():
+            for trial, expected in enumerate(cells):
+                got = result.results[(tool, program)][trial]
+                if (tool, program, trial) == target:
+                    assert got.error is not None and "crash" in got.error
+                else:
+                    assert got == expected
 
 
 class TestDurablePoolConvergence:
@@ -114,7 +145,6 @@ class TestDurablePoolConvergence:
             engine = SupervisedCampaign(
                 CONFIG,
                 processes=2,
-                engine="pool",
                 store=store_dir,
                 heartbeat_seconds=0.05,
                 backoff_base=0.01,
@@ -142,18 +172,25 @@ class TestDurablePoolConvergence:
         )
         assert result == serial
 
-    def test_pool_resume_from_percell_store(self, serial, tmp_path, monkeypatch):
-        """Engines interoperate: a store written per-cell resumes pooled."""
-        arm(monkeypatch, tmp_path, ChaosPlan(seed=seed_with_kill(), kill=0.3))
-        # First attempt under the per-cell engine, chaos-killed workers and
-        # all; whatever it leaves in the store, the pool finishes.
-        SupervisedCampaign(
-            CONFIG,
-            processes=2,
-            store=tmp_path / "store",
-            fault_hook=faults.CHAOS_HOOK_REF,
-            heartbeat_seconds=0.05,
-            backoff_base=0.01,
-        ).run(TOOLS, PROGRAMS)
+    def test_pool_resume_from_serial_store(self, serial, tmp_path, monkeypatch):
+        """Campaigns interoperate: a store written by the serial Campaign
+        resumes pooled."""
+        plan = ChaosPlan(
+            seed=next(
+                s
+                for s in range(200)
+                if ChaosPlan(seed=s, torn_write=0.3).store_fault(2) == "torn_write"
+            ),
+            torn_write=0.3,
+        )
+        arm(monkeypatch, tmp_path, plan)
+        # The serial campaign dies on its torn store write; whatever it
+        # leaves in the store, the pool finishes.
+        with pytest.raises(ChaosKill):
+            Campaign(CONFIG).run(
+                [RffTool(), random_tool()],
+                [bench.get(p) for p in PROGRAMS],
+                store=tmp_path / "store",
+            )
         result = self.run_until_converged(tmp_path / "store")
         assert result == serial

@@ -1,7 +1,7 @@
 """Differential + unit suite for the persistent batched worker pool.
 
 The pooled engine's contract: for a fixed (seed, allocator) it is a pure
-wall-clock optimisation — serial == per-cell == pool, bit for bit, under
+wall-clock optimisation — serial == pool, bit for bit, under
 every start method the platform offers (fork, and forkserver which is the
 3.12+ default).  These tests pin that, plus the batching/packing algebra,
 the wire-format interning, the telemetry schema of the new events, and
@@ -25,6 +25,7 @@ from repro.harness.parallel import (
     _default_start_method,
 )
 from repro.harness.pool import wire_slice
+from repro.harness.store import CorpusStore
 from repro.harness.supervisor import SupervisedCampaign
 from repro.harness.telemetry import TelemetryAggregator
 from repro.harness.tools import pct_tool, random_tool
@@ -118,7 +119,6 @@ class TestPoolBitIdentity:
         pool = ParallelCampaign(
             CONFIG,
             processes=2,
-            engine="pool",
             batch_size=3,
             start_method=start_method,
         ).run(TOOLS, PROGRAMS)
@@ -129,28 +129,29 @@ class TestPoolBitIdentity:
         pool = SupervisedCampaign(
             ALLOC_CONFIG,
             processes=2,
-            engine="pool",
             start_method=start_method,
             heartbeat_seconds=0.05,
         ).run(TOOLS, PROGRAMS)
         assert pool.results == serial_allocated.results
         assert pool.allocation == serial_allocated.allocation
 
-    def test_pool_matches_percell_with_store_and_checkpoint(self, tmp_path):
-        def run(engine, sub):
-            return ParallelCampaign(
-                CONFIG,
-                processes=2,
-                engine=engine,
-                store=tmp_path / f"store-{sub}",
-                checkpoint=tmp_path / f"ck-{sub}.jsonl",
-            ).run(TOOLS, PROGRAMS)
-
-        assert run("percell", "a").results == run("pool", "b").results
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ParallelCampaign(CONFIG, engine="threads").run(TOOLS, PROGRAMS)
+    def test_pool_matches_serial_with_store_and_checkpoint(self, tmp_path):
+        pool = ParallelCampaign(
+            CONFIG,
+            processes=2,
+            store=tmp_path / "store-pool",
+            checkpoint=tmp_path / "ck.jsonl",
+        ).run(TOOLS, PROGRAMS)
+        serial = Campaign(CONFIG).run(
+            [random_tool(), pct_tool()],
+            [bench.get(p) for p in PROGRAMS],
+            store=tmp_path / "store-serial",
+        )
+        assert pool.results == serial.results
+        with CorpusStore(tmp_path / "store-pool", readonly=True) as pooled, CorpusStore(
+            tmp_path / "store-serial", readonly=True
+        ) as reference:
+            assert pooled.completed() == reference.completed()
 
 
 class TestStartMethodDefault:
@@ -173,7 +174,7 @@ class TestPoolTelemetry:
         # required fields.
         aggregator = TelemetryAggregator()
         ParallelCampaign(
-            CONFIG, processes=2, engine="pool", batch_size=2, telemetry=aggregator
+            CONFIG, processes=2, batch_size=2, telemetry=aggregator
         ).run(TOOLS, PROGRAMS)
         assert aggregator.batches_dispatched > 1
         for record in aggregator.of_type("batch_dispatch"):
@@ -190,7 +191,7 @@ class TestPoolTelemetry:
         # slices.  2 pool workers serve all 16 cells.
         aggregator = TelemetryAggregator()
         ParallelCampaign(
-            CONFIG, processes=2, engine="pool", telemetry=aggregator
+            CONFIG, processes=2, telemetry=aggregator
         ).run(TOOLS, PROGRAMS)
         exits = aggregator.of_type("worker_exit")
         assert 1 <= len(exits) <= 2
@@ -203,7 +204,6 @@ class TestPoolTelemetry:
         SupervisedCampaign(
             config,
             processes=1,
-            engine="pool",
             telemetry=aggregator,
             heartbeat_seconds=0.005,
         ).run(TOOLS, PROGRAMS)
@@ -228,7 +228,7 @@ class TestProfiling:
 
         profile_dir = tmp_path / "prof"
         result = ParallelCampaign(
-            CONFIG, processes=2, engine="pool", profile_dir=profile_dir
+            CONFIG, processes=2, profile_dir=profile_dir
         ).run(TOOLS, PROGRAMS)
         assert result.results == serial.results  # profiling never changes results
         dumps = list(profile_dir.glob("worker-*.pstats"))
@@ -247,27 +247,13 @@ class TestProfiling:
 # CLI surface
 # ----------------------------------------------------------------------
 class TestCli:
-    def test_pool_flags_require_pool_engine(self, capsys):
-        from repro.cli import main
-
-        assert main(["campaign", "--batch-size", "4"]) == 2
-        assert "--batch-size requires --engine pool" in capsys.readouterr().err
-
-    def test_profile_requires_pool_engine(self, capsys):
-        from repro.cli import main
-
-        assert main(["campaign", "--profile", "prof/"]) == 2
-        assert "--profile requires --engine pool" in capsys.readouterr().err
-
     def test_pool_campaign_from_cli(self, capsys, tmp_path):
         from repro.cli import main
 
         code = main(
             [
                 "campaign",
-                "--engine", "pool",
-                "--pool-size", "2",
-                "--batch-size", "4",
+                "--parallel", "2",
                 "--profile", str(tmp_path / "prof"),
                 "--tools", "Random",
                 "--programs", "CS/reorder_3", "CS/account",
