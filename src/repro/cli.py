@@ -231,47 +231,49 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _validate_campaign_persistence(args: argparse.Namespace, allocator=None) -> str | None:
     """Catch misconfigured --resume/--store/--durable combinations early,
     with diagnostics instead of tracebacks deep inside the engine."""
+    import json
     import pathlib
 
-    if args.resume and args.store:
-        manifest = pathlib.Path(args.store) / "MANIFEST.json"
-        if manifest.exists():
-            import json
-
-            header = json.loads(manifest.read_text(encoding="utf-8")).get("header") or {}
-            stored = header.get("allocator")
-            requested = allocator.identity() if allocator is not None else None
-            if stored != requested:
-                stored_name = stored.get("name") if stored else "uniform"
-                requested_name = requested.get("name") if requested else "uniform"
-                return (
-                    f"store {args.store} was written under allocator "
-                    f"{stored_name!r} ({stored or 'no header stamp'}); refusing "
-                    f"to resume it under {requested_name!r} — pass matching "
-                    "--allocator options or point --store at a fresh directory"
-                )
     if args.durable and not args.store:
         return "--durable requires --store DIR (the durable ledger campaigns write through)"
-    if args.resume and not args.checkpoint and not args.store:
-        return "--resume requires --checkpoint FILE or --store DIR to resume from"
-    if args.resume and args.checkpoint:
-        checkpoint = pathlib.Path(args.checkpoint)
-        if not checkpoint.exists():
+    if not args.store:
+        return "--resume requires --store DIR to resume from" if args.resume else None
+    store = pathlib.Path(args.store)
+    manifest = store / "MANIFEST.json"
+    header = None
+    if manifest.exists():
+        try:
+            header = json.loads(manifest.read_text(encoding="utf-8")).get("header")
+        except ValueError as exc:
+            return f"store {store} has an unreadable {manifest.name}: {exc}"
+    if not args.resume:
+        if header is not None:
             return (
-                f"cannot --resume from {checkpoint}: checkpoint file does not exist "
-                "(drop --resume to start a fresh campaign)"
-            )
-        if checkpoint.stat().st_size == 0:
-            return (
-                f"cannot --resume from {checkpoint}: checkpoint file is empty "
-                "(drop --resume to start a fresh campaign)"
-            )
-    if args.store and not args.resume:
-        if (pathlib.Path(args.store) / "MANIFEST.json").exists():
-            return (
-                f"store {args.store} already holds a campaign; pass --resume to "
+                f"store {store} already holds a campaign; pass --resume to "
                 "continue it or point --store at a fresh directory"
             )
+        return None
+    if not store.is_dir():
+        return (
+            f"cannot --resume from {store}: store directory does not exist "
+            "(drop --resume to start a fresh campaign)"
+        )
+    if header is None:
+        return (
+            f"cannot --resume from {store}: store is empty, no campaign was recorded "
+            "there (drop --resume to start a fresh campaign)"
+        )
+    stored = header.get("allocator")
+    requested = allocator.identity() if allocator is not None else None
+    if stored != requested:
+        stored_name = stored.get("name") if stored else "uniform"
+        requested_name = requested.get("name") if requested else "uniform"
+        return (
+            f"store {store} was written under allocator "
+            f"{stored_name!r} ({stored or 'no header stamp'}); refusing "
+            f"to resume it under {requested_name!r} — pass matching "
+            "--allocator options or point --store at a fresh directory"
+        )
     return None
 
 
@@ -311,7 +313,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         args.parallel is not None
         or args.profile
         or args.telemetry
-        or args.checkpoint
         or args.store
         or args.durable
         or args.timeout is not None
@@ -328,12 +329,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             TelemetryAggregator,
         )
 
-        if args.checkpoint and not args.resume:
-            # Without --resume an existing checkpoint must not silently be
-            # reused — start the campaign from scratch.
-            import pathlib
-
-            pathlib.Path(args.checkpoint).unlink(missing_ok=True)
         aggregator = TelemetryAggregator()
         sinks = [aggregator]
         if args.telemetry:
@@ -351,7 +346,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 processes=args.parallel,
                 cell_timeout=args.timeout,
                 max_retries=args.retries,
-                checkpoint=args.checkpoint,
                 telemetry=sink,
                 store=args.store,
                 heartbeat_seconds=args.heartbeat_seconds,
@@ -365,7 +359,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 processes=args.parallel,
                 cell_timeout=args.timeout,
                 max_retries=args.retries,
-                checkpoint=args.checkpoint,
                 telemetry=sink,
                 store=args.store,
                 fault_hook=args.fault_hook,
@@ -784,10 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "and print a merged hot-spot summary")
     p_campaign.add_argument("--telemetry", metavar="FILE",
                             help="write structured campaign telemetry (JSONL) to FILE")
-    p_campaign.add_argument("--checkpoint", metavar="FILE",
-                            help="persist completed cells to FILE as the campaign runs")
     p_campaign.add_argument("--resume", action="store_true",
-                            help="resume completed cells from an existing --checkpoint file")
+                            help="resume completed cells from an existing --store directory")
     p_campaign.add_argument("--store", metavar="DIR",
                             help="durable corpus store directory: every completed cell is "
                                  "recorded there crash-safely (continue with --resume, "

@@ -170,7 +170,7 @@ class BudgetAllocator:
         ``None`` means "stamp nothing" — the uniform allocator returns
         None so its headers stay byte-identical to pre-allocator
         campaigns and legacy stores resume cleanly.  Adaptive allocators
-        return their full identity, and the store/checkpoint header
+        return their full identity, and the store's header
         equality check then refuses to resume under a different one.
         """
         return {

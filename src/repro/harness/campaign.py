@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.harness.stats import SummaryCell, summarize
 from repro.harness.tools import BugSearchResult, TestingTool
 from repro.runtime.guard import GuardConfig
 from repro.runtime.program import Program
+
+if TYPE_CHECKING:
+    from repro.harness.allocator import CellInfo
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,12 @@ def campaign_header(
 ) -> dict[str, Any]:
     """The identity of one campaign: everything that determines its results.
 
-    Checkpoint files and corpus stores both stamp this header and refuse to
-    resume a campaign whose header differs — results computed under one
-    configuration must never be silently mixed with another's.  The
-    ``checkpoint_version`` key is the on-disk format version shared by both.
+    Corpus stores stamp this header and refuse to resume a campaign whose
+    header differs — results computed under one configuration must never
+    be silently mixed with another's.  The ``checkpoint_version`` key is
+    the header's format version; it keeps the name of the JSONL checkpoint
+    that once shared this header, because renaming it would change every
+    header and make existing stores refuse to resume.
 
     An adaptive allocator stamps its identity into the header, so resuming
     a store under a different allocator is refused by the same equality
@@ -154,6 +159,92 @@ class CampaignResult:
         return count
 
 
+def campaign_cells(
+    config: CampaignConfig, tools: list[tuple[str, bool]], program_names: list[str]
+) -> list[CellInfo]:
+    """The allocator's view of a campaign: one cell per (tool, program,
+    trial), for ``tools`` given as (name, deterministic) pairs.  A
+    deterministic tool explores systematically, so it runs one trial."""
+    from repro.harness.allocator import CellInfo
+
+    return [
+        CellInfo(
+            tool=name,
+            program=program,
+            trial=trial,
+            budget=config.budget_for(program),
+            one_shot=deterministic,
+        )
+        for name, deterministic in tools
+        for program in program_names
+        for trial in range(1 if deterministic else config.trials)
+    ]
+
+
+def assemble_result(
+    config: CampaignConfig,
+    tools: list[tuple[str, bool]],
+    program_names: list[str],
+    merged: dict[tuple[str, str, int], BugSearchResult],
+) -> CampaignResult:
+    """The merged cell results of :func:`campaign_cells`, in campaign order."""
+    outcome = CampaignResult(config=config)
+    for name, deterministic in tools:
+        for program in program_names:
+            trials = 1 if deterministic else config.trials
+            results = [merged[(name, program, trial)] for trial in range(trials)]
+            if deterministic and config.trials > 1:
+                # Replicate the single deterministic result so per-trial
+                # aggregates stay comparable across tools.
+                results = results * config.trials
+            outcome.results[(name, program)] = results
+    return outcome
+
+
+def open_store(store: Any) -> tuple[Any, bool]:
+    """Resolve a ``store`` argument (a CorpusStore, a path or None) to
+    ``(store, owned)``; an owned store was opened here and must be closed."""
+    if isinstance(store, (str, Path)):
+        # Lazy import: the store depends on persist, which imports tools
+        # from this package; campaign stays import-light.
+        from repro.harness.store import CorpusStore
+
+        return CorpusStore(store), True
+    return store, False
+
+
+class StoredWork:
+    """What a campaign's store already holds: whole cells recorded by
+    single-pass campaigns and round slices recorded by allocated ones.
+
+    Binding the store to the campaign header first means a store written
+    under another configuration is refused before anything is read."""
+
+    def __init__(self, store: Any, header: dict[str, Any], cells: list[CellInfo]) -> None:
+        self.cells: dict[tuple[str, str, int], BugSearchResult] = {}
+        self.slices: dict[tuple[str, str, int, int], BugSearchResult] = {}
+        if store is not None:
+            store.begin_campaign(header)
+            keys = {cell.key for cell in cells}
+            self.cells = {k: r for k, r in store.completed().items() if k in keys}
+            self.slices = {k: r for k, r in store.completed_slices().items() if k[:3] in keys}
+        self.sliced = {key[:3] for key in self.slices}
+
+    def resumed_cells(self) -> int:
+        return len(self.sliced | set(self.cells))
+
+    def get(self, key: tuple[str, str, int], round_index: int) -> BugSearchResult | None:
+        """The recorded result of ``key``'s slice in round ``round_index``.
+
+        A whole cell stands for its round-0 slice: it was recorded by a
+        single-pass campaign, whose header matches only a one-round
+        uniform plan."""
+        result = self.slices.get((*key, round_index))
+        if result is None and round_index == 0 and key not in self.sliced:
+            result = self.cells.get(key)
+        return result
+
+
 class Campaign:
     """Runs tools over programs and collects every trial result."""
 
@@ -170,172 +261,73 @@ class Campaign:
         """Execute the full cross product; ``progress`` is an optional
         callback ``(tool_name, program_name, trial_index)``.
 
+        The campaign runs in allocation rounds (see
+        :mod:`repro.harness.allocator`); ``config.allocator=None`` is one
+        round of the uniform allocator, recorded as whole cells.
+
         With ``store`` set (a :class:`~repro.harness.store.CorpusStore` or a
-        path opened as one), every cell result is recorded durably as it
-        completes and cells already in the store are skipped — so a killed
-        serial campaign resumes through the same ledger parallel ones use.
-
-        With ``config.allocator`` set, the campaign runs in allocation
-        rounds instead of a single uniform pass (see
-        :mod:`repro.harness.allocator`).
+        path opened as one), every cell or round slice is recorded durably
+        as it completes and work already in the store is skipped — so a
+        killed serial campaign resumes through the same ledger parallel
+        ones use, and converges to the same bits.
         """
-        if self.config.allocator is not None:
-            return self._run_allocated(tools, programs, progress, store)
-        owned = False
-        if isinstance(store, (str, Path)):
-            # Lazy import: the store depends on persist, which imports tools
-            # from this package; campaign stays import-light.
-            from repro.harness.store import CorpusStore
+        from repro.harness.allocator import AllocationRun, UniformAllocator, slice_seed
 
-            store = CorpusStore(store)
-            owned = True
+        config = self.config
+        single_pass = config.allocator is None
+        for tool in tools:
+            if config.sanitizers:
+                tool.sanitizers = tuple(config.sanitizers)
+            if config.verify_replays:
+                tool.verify_replays = config.verify_replays
+            if config.guard is not None:
+                tool.guard = config.guard
+        tool_by_name = {tool.name: tool for tool in tools}
+        program_by_name = {program.name: program for program in programs}
+        specs = [(tool.name, tool.deterministic) for tool in tools]
+        program_names = [program.name for program in programs]
+        cells = campaign_cells(config, specs, program_names)
+        store, owned = open_store(store)
         try:
-            done: dict[tuple[str, str, int], BugSearchResult] = {}
-            if store is not None:
-                store.begin_campaign(
-                    campaign_header(
-                        self.config, [t.name for t in tools], [p.name for p in programs]
-                    )
-                )
-                done = store.completed()
-            outcome = CampaignResult(config=self.config)
-            for tool in tools:
-                if self.config.sanitizers:
-                    tool.sanitizers = tuple(self.config.sanitizers)
-                if self.config.verify_replays:
-                    tool.verify_replays = self.config.verify_replays
-                if self.config.guard is not None:
-                    tool.guard = self.config.guard
-                trials = 1 if tool.deterministic else self.config.trials
-                for program in programs:
-                    budget = self.config.budget_for(program.name)
-                    results = []
-                    for trial in range(trials):
-                        key = (tool.name, program.name, trial)
-                        if key in done:
-                            results.append(done[key])
-                            continue
+            header = campaign_header(config, [name for name, _ in specs], program_names)
+            stored = StoredWork(store, header, cells)
+            run_state = AllocationRun(
+                config.allocator or UniformAllocator(), cells, config.base_seed
+            )
+            while (plan := run_state.next_plan()) is not None:
+                round_index = run_state.round_index
+                round_results: dict[tuple[str, str, int], BugSearchResult] = {}
+                for key in sorted(plan):
+                    result = stored.get(key, round_index)
+                    if result is None:
+                        tool_name, program_name, trial = key
                         if progress is not None:
-                            progress(tool.name, program.name, trial)
-                        seed = self.config.base_seed + 7919 * trial
-                        result = tool.find_bug(program, budget, seed)
+                            progress(tool_name, program_name, trial)
+                        seed = slice_seed(config.base_seed, trial, round_index)
+                        result = tool_by_name[tool_name].find_bug(
+                            program_by_name[program_name], plan[key], seed
+                        )
                         # Tools record the seed in the trial field by default;
                         # stamp the trial index so serial, parallel and resumed
                         # campaigns produce bit-identical results.
                         result = replace(result, trial=trial)
                         if store is not None:
-                            store.record_result(result)
-                        results.append(result)
-                    if tool.deterministic and self.config.trials > 1:
-                        # Replicate the single deterministic result so per-trial
-                        # aggregates stay comparable across tools.
-                        results = results * self.config.trials
-                    outcome.results[(tool.name, program.name)] = results
-            return outcome
-        finally:
-            if owned:
-                store.close()
-
-    def _run_allocated(
-        self,
-        tools: list[TestingTool],
-        programs: list[Program],
-        progress=None,
-        store=None,
-    ) -> CampaignResult:
-        """The round-based path: the allocator plans per-cell slices, slice
-        results feed its estimates, and slices merge into cell results.
-
-        Slices are recorded to the store as they complete and resumed
-        slice-granularly, so a killed adaptive campaign converges to the
-        same bits as an uninterrupted one.
-        """
-        from repro.harness.allocator import AllocationRun, CellInfo, slice_seed
-
-        owned = False
-        if isinstance(store, (str, Path)):
-            from repro.harness.store import CorpusStore
-
-            store = CorpusStore(store)
-            owned = True
-        try:
-            done_cells: dict[tuple[str, str, int], BugSearchResult] = {}
-            done_slices: dict[tuple[str, str, int, int], BugSearchResult] = {}
-            if store is not None:
-                store.begin_campaign(
-                    campaign_header(
-                        self.config, [t.name for t in tools], [p.name for p in programs]
-                    )
-                )
-                done_cells = store.completed()
-                done_slices = store.completed_slices()
-            sliced_cells = {key[:3] for key in done_slices}
-            cells = []
-            tool_by_name: dict[str, TestingTool] = {}
-            for tool in tools:
-                if self.config.sanitizers:
-                    tool.sanitizers = tuple(self.config.sanitizers)
-                if self.config.verify_replays:
-                    tool.verify_replays = self.config.verify_replays
-                if self.config.guard is not None:
-                    tool.guard = self.config.guard
-                tool_by_name[tool.name] = tool
-                trials = 1 if tool.deterministic else self.config.trials
-                for program in programs:
-                    budget = self.config.budget_for(program.name)
-                    for trial in range(trials):
-                        cells.append(
-                            CellInfo(
-                                tool=tool.name,
-                                program=program.name,
-                                trial=trial,
-                                budget=budget,
-                                one_shot=tool.deterministic,
-                            )
-                        )
-            program_by_name = {p.name: p for p in programs}
-            run_state = AllocationRun(self.config.allocator, cells, self.config.base_seed)
-            while (plan := run_state.next_plan()) is not None:
-                round_index = run_state.round_index
-                round_results: dict[tuple[str, str, int], BugSearchResult] = {}
-                for key in sorted(plan):
-                    tool_name, program_name, trial = key
-                    slice_key = (tool_name, program_name, trial, round_index)
-                    if slice_key in done_slices:
-                        round_results[key] = done_slices[slice_key]
-                        continue
-                    if round_index == 0 and key in done_cells and key not in sliced_cells:
-                        # A store written by the single-pass path (only
-                        # reachable under the uniform allocator, whose
-                        # header matches): the whole cell is already done.
-                        round_results[key] = done_cells[key]
-                        continue
-                    if progress is not None:
-                        progress(tool_name, program_name, trial)
-                    seed = slice_seed(self.config.base_seed, trial, round_index)
-                    result = tool_by_name[tool_name].find_bug(
-                        program_by_name[program_name], plan[key], seed
-                    )
-                    result = replace(result, trial=trial)
-                    if store is not None:
-                        store.record_slice(round_index, result)
+                            if single_pass:
+                                store.record_result(result)
+                            else:
+                                store.record_slice(round_index, result)
                     round_results[key] = result
                 run_state.observe(plan, round_results)
             merged = run_state.merged()
-            if store is not None:
+            if store is not None and not single_pass:
+                # Slices are in the store; add each cell's merged record.
                 already = store.completed()
                 for key in sorted(merged):
                     if key not in already:
                         store.record_result(merged[key])
-            outcome = CampaignResult(config=self.config)
-            for tool in tools:
-                trials = 1 if tool.deterministic else self.config.trials
-                for program in programs:
-                    results = [merged[(tool.name, program.name, t)] for t in range(trials)]
-                    if tool.deterministic and self.config.trials > 1:
-                        results = results * self.config.trials
-                    outcome.results[(tool.name, program.name)] = results
-            outcome.allocation = run_state.ledger()
+            outcome = assemble_result(config, specs, program_names, merged)
+            if not single_pass:
+                outcome.allocation = run_state.ledger()
             return outcome
         finally:
             if owned:

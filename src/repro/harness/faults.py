@@ -1,7 +1,7 @@
 """Fault injection for campaigns: one-shot hooks + chaos plans.
 
 The campaigns' robustness claims — bounded retries, per-cell timeouts, lease
-expiry, crash isolation, checkpoint/store resume — are only testable if
+expiry, crash isolation, store resume — are only testable if
 worker and storage failure can be provoked on demand.  Two mechanisms:
 
 **One-shot hooks** (the original layer).  A campaign's ``fault_hook`` may

@@ -24,13 +24,14 @@ go through the same pool, so every guarantee below holds per slice:
 * **graceful degradation** — ``processes=0`` runs every slice in-process,
   and if worker processes cannot be started at all the pool falls back to
   in-process execution of the remaining slices rather than failing;
-* **checkpoint/resume** — with ``checkpoint`` set, every completed cell
-  (or allocation-round slice) is appended to a JSONL file; re-running the
-  same campaign against that file (or its ``store``) skips completed work
-  and still produces a bit-identical
+* **durable resume** — with ``store`` set, every completed cell (or
+  allocation-round slice) is recorded in the
+  :class:`~repro.harness.store.CorpusStore`, the campaign's one durable
+  record; re-running the same campaign against that store skips completed
+  work and still produces a bit-identical
   :class:`~repro.harness.campaign.CampaignResult`;
 * **telemetry** — every lifecycle step (cell start/end/retry/error, worker
-  start/exit, degradation, checkpoints) is emitted into a
+  start/exit, degradation) is emitted into a
   :class:`~repro.harness.telemetry.TelemetrySink`; ``campaign_end`` is the
   last record, after every worker has exited.
 
@@ -51,18 +52,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, ClassVar
 
-from repro.harness.campaign import CampaignConfig, CampaignResult, campaign_header
-from repro.harness.persist import append_jsonl, read_jsonl, result_from_dict, result_to_dict
+from repro.harness.campaign import (
+    CampaignConfig,
+    CampaignResult,
+    StoredWork,
+    assemble_result,
+    campaign_cells,
+    campaign_header,
+    open_store,
+)
 from repro.harness.pool import CellOutcome, CellSpec, WorkerPool, resolve_ref
 from repro.harness.telemetry import TelemetrySink
 from repro.harness.tools import BugSearchResult, TestingTool
 
-CHECKPOINT_VERSION = 1
-
 
 class CampaignError(RuntimeError):
-    """A campaign cell failed and ``isolate_failures`` is off, or a
-    checkpoint file does not match the campaign being run."""
+    """A campaign cell failed and ``isolate_failures`` is off."""
 
 
 # ----------------------------------------------------------------------
@@ -155,15 +160,13 @@ class ParallelCampaign:
     max_retries: int = 2
     #: Record exhausted cells as structured error results instead of raising.
     isolate_failures: bool = True
-    #: JSONL checkpoint path; existing compatible checkpoints are resumed.
-    checkpoint: str | Path | None = None
     telemetry: TelemetrySink = field(default_factory=TelemetrySink)
     #: Multiprocessing start method (None = see _default_start_method).
     start_method: str | None = None
     #: Importable fault-injection hook called before every slice.
     fault_hook: str | None = None
     #: Durable corpus store (CorpusStore instance or path); completed cells
-    #: are recorded there and resumed from it, alongside any checkpoint.
+    #: are recorded there and resumed from it.
     store: Any = None
     #: Maximum slices per pooled batch (None = pool default).
     batch_size: int | None = None
@@ -191,28 +194,15 @@ class ParallelCampaign:
         sink = self.telemetry
         allocator = self.config.allocator
         single_pass = allocator is None
-        cells, deterministic, refs = self._build_cells(tool_names, program_names)
-        self._total_cells = len(cells)
+        specs, refs = self._resolve_tools(tool_names)
+        cells = campaign_cells(self.config, specs, program_names)
         # Built before the store opens: the constructor starts no process,
         # and a bad start method or profile_dir leaves no store to close.
         pool = WorkerPool(self, mp.get_context(self.start_method or _default_start_method()))
-        store, store_owned = self._open_store()
+        store, store_owned = open_store(self.store)
         try:
             header = campaign_header(self.config, tool_names, program_names)
-            valid_keys = {cell.key for cell in cells}
-            done_cells, done_slices = self._load_allocated_checkpoint(header, valid_keys)
-            if store is not None:
-                # Checkpoint records win (they went through the same
-                # recorder); the store fills in work the checkpoint missed —
-                # e.g. a crash between the store and the checkpoint append.
-                store.begin_campaign(header)
-                for key, result in store.completed().items():
-                    if key in valid_keys and key not in done_cells:
-                        done_cells[key] = result
-                for slice_key, result in store.completed_slices().items():
-                    if slice_key[:3] in valid_keys and slice_key not in done_slices:
-                        done_slices[slice_key] = result
-            sliced_cells = {slice_key[:3] for slice_key in done_slices}
+            stored = StoredWork(store, header, cells)
             run_state = AllocationRun(
                 allocator or UniformAllocator(), cells, self.config.base_seed
             )
@@ -223,7 +213,7 @@ class ParallelCampaign:
                 programs=list(program_names),
                 trials=self.config.trials,
                 total_cells=len(cells),
-                resumed_cells=len(sliced_cells | set(done_cells)),
+                resumed_cells=stored.resumed_cells(),
                 processes=self._process_count(),
             )
             stats = {"retries": 0, "failed": 0, "executions": 0}
@@ -256,15 +246,9 @@ class ParallelCampaign:
                             allocated=plan[key],
                             estimate=estimates.get(key),
                         )
-                    slice_key = (tool_name, program_name, trial, round_index)
-                    if slice_key in done_slices:
-                        round_results[key] = done_slices[slice_key]
-                        continue
-                    if round_index == 0 and key in done_cells and key not in sliced_cells:
-                        # A whole cell recorded by a single-pass campaign
-                        # (header-compatible only with a one-round uniform
-                        # plan): it is already done.
-                        round_results[key] = done_cells[key]
+                    result = stored.get(key, round_index)
+                    if result is not None:
+                        round_results[key] = result
                         continue
                     pending.append(
                         CellSpec(
@@ -302,7 +286,7 @@ class ParallelCampaign:
                 executions=stats["executions"],
                 schedules_per_sec=stats["executions"] / wall_time if wall_time > 0 else 0.0,
             )
-            outcome = self._assemble(tool_names, program_names, deterministic, merged)
+            outcome = assemble_result(self.config, specs, program_names, merged)
             if not single_pass:
                 outcome.allocation = run_state.ledger()
             return outcome
@@ -311,76 +295,18 @@ class ParallelCampaign:
             if store_owned:
                 store.close()
 
-    def _open_store(self):
-        """Resolve the ``store`` field to (CorpusStore | None, owned)."""
-        if self.store is None:
-            return None, False
-        if isinstance(self.store, (str, Path)):
-            from repro.harness.store import CorpusStore
-
-            return CorpusStore(self.store), True
-        return self.store, False
-
-    def _build_cells(self, tool_names: list[str], program_names: list[str]):
-        """The allocator's view of the campaign: CellInfo per cell, plus the
-        deterministic-tool set and factory references for spec building."""
-        from repro.harness.allocator import CellInfo
-
-        deterministic: set[str] = set()
+    def _resolve_tools(self, tool_names: list[str]):
+        """(name, deterministic) per tool, plus each tool's factory reference
+        for spec building."""
+        specs: list[tuple[str, bool]] = []
         refs: dict[str, str] = {}
-        cells: list[CellInfo] = []
         for tool_name in tool_names:
             if tool_name not in _TOOL_FACTORIES:
                 raise KeyError(f"unknown tool {tool_name!r}; known: {sorted(_TOOL_FACTORIES)}")
             factory = _TOOL_FACTORIES[tool_name]
             refs[tool_name] = factory_ref(factory)
-            if factory().deterministic:
-                deterministic.add(tool_name)
-            trials = 1 if tool_name in deterministic else self.config.trials
-            for program_name in program_names:
-                budget = self.config.budget_for(program_name)
-                for trial in range(trials):
-                    cells.append(
-                        CellInfo(
-                            tool=tool_name,
-                            program=program_name,
-                            trial=trial,
-                            budget=budget,
-                            one_shot=tool_name in deterministic,
-                        )
-                    )
-        return cells, deterministic, refs
-
-    def _load_allocated_checkpoint(
-        self, header: dict[str, Any], valid_keys: set[tuple[str, str, int]]
-    ) -> tuple[
-        dict[tuple[str, str, int], BugSearchResult],
-        dict[tuple[str, str, int, int], BugSearchResult],
-    ]:
-        """Resume (whole cells, round slices) from the checkpoint file."""
-        done_cells: dict[tuple[str, str, int], BugSearchResult] = {}
-        done_slices: dict[tuple[str, str, int, int], BugSearchResult] = {}
-        if self.checkpoint is None:
-            return done_cells, done_slices
-        records = read_jsonl(self.checkpoint)
-        if not records:
-            append_jsonl(header, self.checkpoint)
-            return done_cells, done_slices
-        if records[0] != header:
-            raise CampaignError(
-                f"checkpoint {self.checkpoint} belongs to a different campaign: "
-                f"{records[0]!r} != {header!r}"
-            )
-        for record in records[1:]:
-            result = result_from_dict(record["result"])
-            key = (result.tool, result.program, result.trial)
-            if key not in valid_keys:
-                continue
-            if "round" in record:
-                done_slices.setdefault((*key, record["round"]), result)
-            else:
-                done_cells.setdefault(key, result)
-        return done_cells, done_slices
+            specs.append((tool_name, factory().deterministic))
+        return specs, refs
 
     def _process_count(self) -> int:
         if self.processes is None:
@@ -402,8 +328,6 @@ class ParallelCampaign:
         ) -> None:
             completed[spec.key] = result
             if store is not None:
-                # Durable ledger first: if we die between the two appends, the
-                # checkpoint is behind the store and resume takes the union.
                 if slice_round is None:
                     store.record_result(result)
                 else:
@@ -440,17 +364,6 @@ class ParallelCampaign:
                         location=report.location,
                         pair=list(report.pair),
                     )
-            if self.checkpoint is not None:
-                payload: dict[str, Any] = {"result": result_to_dict(result)}
-                if slice_round is not None:
-                    payload["round"] = slice_round
-                append_jsonl(payload, self.checkpoint)
-                sink.emit(
-                    "checkpoint",
-                    path=str(self.checkpoint),
-                    completed=len(completed),
-                    total=self._total_cells,
-                )
 
         return record
 
@@ -492,28 +405,6 @@ class ParallelCampaign:
                 error=f"{kind} after {attempts} attempt(s): {detail}",
             ),
         )
-
-    # -- assembly -------------------------------------------------------
-    def _assemble(
-        self,
-        tool_names: list[str],
-        program_names: list[str],
-        deterministic: set[str],
-        completed: dict[tuple[str, str, int], BugSearchResult],
-    ) -> CampaignResult:
-        outcome = CampaignResult(config=self.config)
-        for tool_name in tool_names:
-            trials = 1 if tool_name in deterministic else self.config.trials
-            for program_name in program_names:
-                cell_results = [
-                    completed[(tool_name, program_name, trial)] for trial in range(trials)
-                ]
-                if tool_name in deterministic and self.config.trials > 1:
-                    # Replicate the single deterministic result so per-trial
-                    # aggregates stay comparable across tools.
-                    cell_results = cell_results * self.config.trials
-                outcome.results[(tool_name, program_name)] = cell_results
-        return outcome
 
 
 def _default_start_method() -> str:

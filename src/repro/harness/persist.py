@@ -231,23 +231,8 @@ def load_crash(path: str | Path) -> tuple[str, CrashRecord]:
 
 
 # ----------------------------------------------------------------------
-# Append-only JSONL (campaign checkpoints, telemetry-adjacent records)
+# Append-only JSONL (corpus store segments, telemetry files)
 # ----------------------------------------------------------------------
-def append_jsonl(record: dict[str, Any], path: str | Path) -> Path:
-    """Append one JSON object as a line to ``path`` (created on demand).
-
-    Append-and-flush per record makes the file crash-safe in the sense a
-    checkpoint needs: a campaign killed mid-run leaves every *completed*
-    record intact, and at worst one torn trailing line, which readers skip.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-    return target
-
-
 class TornLineError(ValueError):
     """A JSONL file contains an unparseable line the caller must not skip:
     either a torn *tail* with ``tolerate_torn_tail=False``, or a torn line
@@ -256,11 +241,11 @@ class TornLineError(ValueError):
 
 
 def read_jsonl(path: str | Path, tolerate_torn_tail: bool = True) -> list[dict[str, Any]]:
-    """Read a JSONL file written by :func:`append_jsonl`.
+    """Read a JSONL file written one flushed line per record.
 
     A killed writer can leave at most one torn line, and only at the end of
     the file.  With ``tolerate_torn_tail=True`` (the default, matching what
-    checkpoint resume needs) that single trailing tear is skipped and
+    store resume needs) that single trailing tear is skipped and
     counted in the ``torn_lines`` telemetry counter; an unparseable line
     anywhere *before* the last one always raises :class:`TornLineError`,
     because it cannot be explained by an interrupted append."""

@@ -28,8 +28,8 @@ never tear a record.  The design is a miniature write-ahead log:
 * **Checksum-verified reads.**  A record whose checksum fails to verify
   (at-rest corruption, or the ``corrupt`` chaos fault) is counted and
   skipped — its cell simply looks incomplete, and a resumed campaign
-  re-runs it.  Dedup is first-wins per cell key, so a record duplicated
-  by a crash-between-store-and-checkpoint resume cannot change results.
+  re-runs it.  Dedup is first-wins per cell key, so a duplicated record
+  cannot change results.
 * **Advisory locking.**  Writers hold an exclusive ``flock`` on
   ``store.lock`` for their whole lifetime; readers take a shared one.
   A second campaign pointed at the same store fails fast with
@@ -304,9 +304,9 @@ class CorpusStore:
     def completed(self) -> dict[CellKey, BugSearchResult]:
         """Every cell with a valid record, first occurrence winning.
 
-        First-wins dedup makes a duplicated record (crash between the
-        store append and the checkpoint append, then resume) harmless:
-        the duplicate is byte-identical and simply ignored."""
+        First-wins dedup makes a duplicated record harmless: results are
+        deterministic, so a cell recorded twice carries byte-identical
+        results and the later copy is simply ignored."""
         results: dict[CellKey, BugSearchResult] = {}
         for record, ok in self._iter_valid():
             if not ok or record.get("type") != "cell":

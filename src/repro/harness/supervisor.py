@@ -31,7 +31,7 @@ unattended campaigns need a tighter liveness contract.
   ``cell_error`` telemetry record.
 
 Everything else — crash isolation, degraded in-process fallback,
-checkpoint and store resume, bit-identical results — is the plain
+store resume, bit-identical results — is the plain
 campaign's, unchanged.
 """
 

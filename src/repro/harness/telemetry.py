@@ -128,7 +128,6 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
     "sanitizer_report": frozenset(
         {"tool", "program", "trial", "sanitizer", "kind", "location", "pair"}
     ),
-    "checkpoint": frozenset({"path", "completed", "total"}),
     "campaign_end": frozenset(
         {"wall_time", "cells", "failed_cells", "retries", "executions", "schedules_per_sec"}
     ),
@@ -230,7 +229,7 @@ class JsonlSink(TelemetrySink):
                 self._handle.close()
                 raise SinkLockedError(
                     f"{self.path}: another campaign is already writing this "
-                    f"telemetry/checkpoint file; point each campaign at its own path"
+                    f"telemetry file; point each campaign at its own path"
                 ) from None
 
     def emit(self, event: str, **fields: Any) -> None:

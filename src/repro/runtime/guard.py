@@ -73,7 +73,7 @@ class GuardConfig:
         )
 
     def as_tuple(self) -> tuple[int | None, float | None, int | None]:
-        """Identity triple used in checkpoint headers and cell specs."""
+        """Identity triple used in campaign headers and cell specs."""
         return (self.step_budget, self.wall_seconds, self.livelock_window)
 
 

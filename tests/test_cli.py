@@ -218,19 +218,39 @@ class TestResumeDiagnostics:
         assert "--resume requires" in err
 
     def test_resume_missing_checkpoint_is_an_error(self, capsys, tmp_path):
-        missing = tmp_path / "absent.jsonl"
-        code = main(CAMPAIGN_ARGS + ["--checkpoint", str(missing), "--resume"])
+        missing = tmp_path / "absent"
+        code = main(CAMPAIGN_ARGS + ["--store", str(missing), "--resume"])
         assert code == 2
         err = capsys.readouterr().err
         assert "does not exist" in err
         assert "drop --resume" in err
+        assert not missing.exists()
 
     def test_resume_empty_checkpoint_is_an_error(self, capsys, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.touch()
-        code = main(CAMPAIGN_ARGS + ["--checkpoint", str(empty), "--resume"])
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = main(CAMPAIGN_ARGS + ["--store", str(empty), "--resume"])
         assert code == 2
         assert "is empty" in capsys.readouterr().err
+        assert not (empty / "MANIFEST.json").exists()
+
+    def test_headerless_store_is_empty(self, capsys, tmp_path):
+        """A store whose manifest never got a campaign header holds no
+        campaign: --resume is refused and a fresh run may use it."""
+        from repro.harness.store import CorpusStore
+
+        store = tmp_path / "headerless"
+        CorpusStore(store).close()
+        assert main(CAMPAIGN_ARGS + ["--store", str(store), "--resume"]) == 2
+        assert "is empty" in capsys.readouterr().err
+        assert main(CAMPAIGN_ARGS + ["--store", str(store)]) == 0
+
+    def test_unreadable_manifest_is_an_error(self, capsys, tmp_path):
+        store = tmp_path / "garbled"
+        store.mkdir()
+        (store / "MANIFEST.json").write_text('{"header": ')
+        assert main(CAMPAIGN_ARGS + ["--store", str(store)]) == 2
+        assert "unreadable MANIFEST.json" in capsys.readouterr().err
 
     def test_diagnostics_go_to_stderr_only(self, capsys):
         main(CAMPAIGN_ARGS + ["--resume"])

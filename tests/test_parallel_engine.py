@@ -1,9 +1,9 @@
 """Fault-tolerant parallel campaign engine: determinism, faults, resume.
 
 The engine's contract is that parallelism, worker failure and
-checkpoint/resume are all invisible in the final result: a
+store resume are all invisible in the final result: a
 ``ParallelCampaign`` — crashed workers, killed workers, hung workers,
-degraded pools, resumed checkpoints and all — produces a
+degraded pools, resumed stores and all — produces a
 ``CampaignResult`` bit-identical (full dataclass equality) to the serial
 ``Campaign`` over the same grid.
 """
@@ -21,8 +21,9 @@ from repro.harness.parallel import (
     _TOOL_FACTORIES,
     register_tool,
 )
-from repro.harness.persist import read_jsonl
+from repro.harness.persist import result_from_dict, result_to_dict
 from repro.harness.pool import WorkerPool
+from repro.harness.store import CorpusStore, StoreMismatchError
 from repro.harness.telemetry import TelemetryAggregator
 from repro.harness.tools import (
     PerExecutionPolicyTool,
@@ -191,22 +192,23 @@ class TestFaultTolerance:
 
 
 class TestCheckpointResume:
+    """Resume from the campaign's one durable record, its corpus store."""
+
     def test_resume_from_truncated_checkpoint_bit_identical(self, serial, tmp_path):
         """The acceptance scenario: a campaign killed mid-run resumes from
-        its checkpoint and yields a bit-identical result."""
-        checkpoint = tmp_path / "campaign.jsonl"
-        first = ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(
-            TOOLS, PROGRAMS
-        )
+        its store and yields a bit-identical result."""
+        store = tmp_path / "store"
+        first = ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         assert first == serial
-        # Simulate a SIGKILL mid-campaign: keep the header and the first
-        # three completed cells, tear the last line in half.
-        lines = checkpoint.read_text().splitlines()
-        assert len(lines) > 5
-        checkpoint.write_text("\n".join(lines[:4]) + "\n" + lines[4][: len(lines[4]) // 2])
+        # Simulate a SIGKILL mid-campaign: keep the first three completed
+        # cells of the active segment, tear the next record in half.
+        segment = max(store.glob("segment-*.jsonl"))
+        lines = segment.read_text().splitlines()
+        assert len(lines) > 4
+        segment.write_text("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
         telemetry = TelemetryAggregator()
         resumed = ParallelCampaign(
-            CONFIG, processes=2, checkpoint=checkpoint, telemetry=telemetry
+            CONFIG, processes=2, store=store, telemetry=telemetry
         ).run(TOOLS, PROGRAMS)
         assert resumed == serial
         start = telemetry.of_type("campaign_start")[0]
@@ -215,47 +217,48 @@ class TestCheckpointResume:
         assert telemetry.completed_cells == start["total_cells"] - 3
 
     def test_resume_after_injected_crash_bit_identical(self, serial, fault_env, tmp_path):
-        """Worker killed on the first attempt *and* resumed from checkpoint:
+        """Worker killed on the first attempt *and* resumed from the store:
         both fault paths compose and the result is still bit-identical."""
-        checkpoint = tmp_path / "faulted.jsonl"
+        store = tmp_path / "faulted"
         fault_env("POS", "CS/account", 1, mode="crash")
         first = ParallelCampaign(
             CONFIG,
             processes=2,
-            checkpoint=checkpoint,
+            store=store,
             fault_hook=faults.CRASH_ONCE_REF,
         ).run(TOOLS, PROGRAMS)
         assert first == serial
-        resumed = ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(
-            TOOLS, PROGRAMS
-        )
+        resumed = ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         assert resumed == serial
 
     def test_completed_checkpoint_runs_nothing(self, serial, tmp_path):
-        checkpoint = tmp_path / "done.jsonl"
-        ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(TOOLS, PROGRAMS)
+        store = tmp_path / "done"
+        ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         telemetry = TelemetryAggregator()
         resumed = ParallelCampaign(
-            CONFIG, processes=2, checkpoint=checkpoint, telemetry=telemetry
+            CONFIG, processes=2, store=store, telemetry=telemetry
         ).run(TOOLS, PROGRAMS)
         assert resumed == serial
         assert telemetry.completed_cells == 0
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
-        checkpoint = tmp_path / "other.jsonl"
-        ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(TOOLS, PROGRAMS)
+        store = tmp_path / "other"
+        ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         other = CampaignConfig(trials=2, budget=120, base_seed=8)
-        with pytest.raises(CampaignError, match="different campaign"):
-            ParallelCampaign(other, processes=2, checkpoint=checkpoint).run(TOOLS, PROGRAMS)
+        with pytest.raises(StoreMismatchError, match="different campaign"):
+            ParallelCampaign(other, processes=2, store=store).run(TOOLS, PROGRAMS)
 
     def test_checkpoint_lines_are_valid_results(self, tmp_path):
-        checkpoint = tmp_path / "records.jsonl"
-        ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(TOOLS, PROGRAMS)
-        records = read_jsonl(checkpoint)
-        assert records[0]["checkpoint_version"] == 1
-        assert records[0]["base_seed"] == CONFIG.base_seed
-        cells = [r["result"] for r in records[1:]]
+        store = tmp_path / "records"
+        ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
+        with CorpusStore(store, readonly=True) as reader:
+            header = reader.header
+            completed = reader.completed()
+        assert header["checkpoint_version"] == 1
+        assert header["base_seed"] == CONFIG.base_seed
+        cells = [result_to_dict(result) for result in completed.values()]
         assert all({"tool", "program", "trial", "found"} <= r.keys() for r in cells)
+        assert [result_from_dict(r) for r in cells] == list(completed.values())
 
 
 # Module-level factory: a spawn-started worker re-imports it by reference.

@@ -135,23 +135,32 @@ class TestPoolBitIdentity:
         assert pool.results == serial_allocated.results
         assert pool.allocation == serial_allocated.allocation
 
-    def test_pool_matches_serial_with_store_and_checkpoint(self, tmp_path):
-        pool = ParallelCampaign(
-            CONFIG,
-            processes=2,
-            store=tmp_path / "store-pool",
-            checkpoint=tmp_path / "ck.jsonl",
-        ).run(TOOLS, PROGRAMS)
-        serial = Campaign(CONFIG).run(
+    @pytest.mark.parametrize(
+        "allocator", [None, LaplaceAllocator(rounds=2)], ids=["single-pass", "laplace"]
+    )
+    def test_pool_matches_serial_with_store(self, tmp_path, allocator):
+        """The pool and the serial Campaign write the same store records,
+        whole cells and round slices alike, under both allocation modes."""
+        config = replace(CONFIG, allocator=allocator)
+        pool = ParallelCampaign(config, processes=2, store=tmp_path / "store-pool").run(
+            TOOLS, PROGRAMS
+        )
+        serial = Campaign(config).run(
             [random_tool(), pct_tool()],
             [bench.get(p) for p in PROGRAMS],
             store=tmp_path / "store-serial",
         )
         assert pool.results == serial.results
+        assert pool.allocation == serial.allocation
+        if allocator is not None:
+            assert pool.allocation is not None
         with CorpusStore(tmp_path / "store-pool", readonly=True) as pooled, CorpusStore(
             tmp_path / "store-serial", readonly=True
         ) as reference:
             assert pooled.completed() == reference.completed()
+            assert pooled.completed_slices() == reference.completed_slices()
+            if allocator is not None:
+                assert reference.completed_slices()
 
 
 class TestStartMethodDefault:

@@ -176,7 +176,6 @@ class TestValidateRecord:
             "batch_dispatch",
             "pool_degraded",
             "sanitizer_report",
-            "checkpoint",
             "campaign_end",
             "gen_corpus",
             "gen_eval_end",

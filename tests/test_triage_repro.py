@@ -27,7 +27,6 @@ from repro.core.reproduce import (
 from repro.harness.persist import (
     ChecksumError,
     TornLineError,
-    append_jsonl,
     attach_checksum,
     crash_from_dict,
     crash_to_dict,
@@ -416,8 +415,7 @@ class TestPersistHardening:
 
     def test_torn_tail_tolerated_and_counted(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        append_jsonl({"a": 1}, path)
-        append_jsonl({"b": 2}, path)
+        path.write_text('{"a": 1}\n{"b": 2}\n')
         with path.open("a") as handle:
             handle.write('{"torn": tr')
         before = GLOBAL_COUNTERS.snapshot()
@@ -426,7 +424,7 @@ class TestPersistHardening:
 
     def test_torn_tail_rejected_when_intolerant(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        append_jsonl({"a": 1}, path)
+        path.write_text('{"a": 1}\n')
         with path.open("a") as handle:
             handle.write('{"torn": tr')
         with pytest.raises(TornLineError, match="torn trailing line"):
@@ -434,10 +432,7 @@ class TestPersistHardening:
 
     def test_torn_middle_always_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        append_jsonl({"a": 1}, path)
-        with path.open("a") as handle:
-            handle.write('{"torn": tr\n')
-        append_jsonl({"b": 2}, path)
+        path.write_text('{"a": 1}\n{"torn": tr\n{"b": 2}\n')
         with pytest.raises(TornLineError, match="mid-file"):
             read_jsonl(path)
 
@@ -518,13 +513,13 @@ class TestCampaignDeterminism:
     def test_checkpoint_resume_preserves_triage_fields(self, tmp_path):
         from repro.harness.parallel import ParallelCampaign
 
-        checkpoint = tmp_path / "cp.jsonl"
-        first = ParallelCampaign(
-            self._config(), processes=0, checkpoint=checkpoint
-        ).run(["Random"], ["CS/account"])
-        resumed = ParallelCampaign(
-            self._config(), processes=0, checkpoint=checkpoint
-        ).run(["Random"], ["CS/account"])
+        store = tmp_path / "store"
+        first = ParallelCampaign(self._config(), processes=0, store=store).run(
+            ["Random"], ["CS/account"]
+        )
+        resumed = ParallelCampaign(self._config(), processes=0, store=store).run(
+            ["Random"], ["CS/account"]
+        )
         assert resumed.results == first.results
 
 
