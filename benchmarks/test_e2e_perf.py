@@ -1,0 +1,133 @@
+"""Bench: start-up cost of fresh ``rff`` processes, as real process wall time.
+
+The headline number of this reproduction is bugs found per wall-second for
+someone typing ``rff fuzz`` or ``rff campaign``.  For a short run most of
+that wall time is interpreter start-up, ``import repro.cli`` and worker
+start-up, not search.  This bench times, each in fresh interpreters and
+keeping the best of ``SAMPLES``:
+
+* ``import repro.cli`` alone (``import_s``);
+* a cold ``rff fuzz CS/account --budget 2000 --seed 1`` to its first bug;
+* a 2-worker campaign (RFF/PCT3 over ``CS/token_ring`` and
+  ``py:queue_toctou``, budget 2000) under the ``fork`` and the
+  ``forkserver`` start methods, and their ratio.  Under forkserver every
+  worker imports what it runs afresh, so the ratio is what a heavy import
+  graph costs a 3.12+ user.
+
+It writes ``results/BENCH_e2e.json``, next to the same figures measured on
+the package before its import diet (``BEFORE``: ``import repro.cli``
+loaded scipy, numpy and networkx, and ``repro.harness`` imported every
+submodule).  Only the import is gated: at most ``MAX_IMPORT_S`` seconds,
+scaled by the pure-Python calibration loop of ``test_engine_perf``
+(``REFERENCE_CALIBRATION`` is the host the limit was set on; a slower
+machine gets a proportionally larger limit).  The forkserver/fork ratio is
+recorded, not gated: with 2 workers on 2 CPUs it sits near 2x and moves
+by more than that with load, so a 2x gate would measure noise.
+
+    PYTHONPATH=src python -m pytest benchmarks/test_e2e_perf.py -q
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from test_engine_perf import _calibrate
+
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS_DIR = ROOT / "results"
+
+SAMPLES = 5
+MAX_IMPORT_S = 0.5
+#: ``_calibrate()`` ops/sec of the host ``MAX_IMPORT_S`` was set on (a
+#: 2-CPU Linux x86_64 host, Python 3.11.7).
+REFERENCE_CALIBRATION = 5_000_000.0
+
+IMPORT_CODE = (
+    "import time\n"
+    "start = time.perf_counter()\n"
+    "import repro.cli\n"
+    "print(time.perf_counter() - start)\n"
+)
+FUZZ_ARGV = ["-m", "repro.cli", "fuzz", "CS/account", "--budget", "2000", "--seed", "1"]
+CAMPAIGN_CODE = """\
+import sys
+from repro.harness.campaign import CampaignConfig
+from repro.harness.parallel import ParallelCampaign
+
+config = CampaignConfig(trials=1, budget=2000, base_seed=1234)
+campaign = ParallelCampaign(config, processes=2, start_method=sys.argv[1])
+result = campaign.run(["RFF", "PCT3"], ["CS/token_ring", "py:queue_toctou"])
+assert all(r.found for trials in result.results.values() for r in trials)
+"""
+
+#: The same measurements on the package before its import diet, on the
+#: host of ``REFERENCE_CALIBRATION``.
+BEFORE = {
+    "calibration_ops_per_sec": 5100000.0,
+    "import_s": 1.8269,
+    "fuzz_s": 2.327,
+    "campaign_fork_s": 2.5463,
+    "campaign_forkserver_s": 4.4597,
+    "forkserver_over_fork": 1.7515,
+}
+
+
+def _env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+def _process_wall(argv: list[str]) -> float:
+    """Wall time of one fresh ``python argv...`` process, run to exit."""
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, *argv], env=_env(), check=True, timeout=600,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return time.perf_counter() - start
+
+
+def _import_seconds() -> float:
+    """``import repro.cli`` in one fresh interpreter, timed inside it."""
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CODE], env=_env(), check=True, timeout=120,
+        capture_output=True, text=True,
+    )
+    return float(done.stdout.strip())
+
+
+def test_startup_costs():
+    calibration = _calibrate()
+    after = {
+        "calibration_ops_per_sec": round(calibration, 1),
+        "import_s": min(_import_seconds() for _ in range(SAMPLES)),
+        "fuzz_s": min(_process_wall(FUZZ_ARGV) for _ in range(SAMPLES)),
+    }
+    for start_method in ("fork", "forkserver"):
+        argv = ["-c", CAMPAIGN_CODE, start_method]
+        after[f"campaign_{start_method}_s"] = min(_process_wall(argv) for _ in range(SAMPLES))
+    after["forkserver_over_fork"] = after["campaign_forkserver_s"] / after["campaign_fork_s"]
+    after = {name: round(value, 4) for name, value in after.items()}
+    limit = MAX_IMPORT_S * REFERENCE_CALIBRATION / calibration
+    payload = {
+        "samples": SAMPLES,
+        "max_import_s": MAX_IMPORT_S,
+        "scaled_max_import_s": round(limit, 4),
+        "after": after,
+        "before": BEFORE,
+        "speedup": {
+            name: round(BEFORE[name] / after[name], 2)
+            for name in ("import_s", "fuzz_s", "campaign_fork_s", "campaign_forkserver_s")
+            if BEFORE[name]
+        },
+    }
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / "BENCH_e2e.json").write_text(json.dumps(payload, indent=2) + "\n")
+    assert after["import_s"] <= limit, (
+        f"import repro.cli took {after['import_s']:.3f}s, over the {limit:.3f}s limit "
+        f"({MAX_IMPORT_S}s scaled by calibration); see results/BENCH_e2e.json"
+    )

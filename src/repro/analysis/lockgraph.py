@@ -7,13 +7,15 @@ ABBA deadlock — even when the observed schedule completed fine.  This is
 the predictive companion to the runtime's built-in deadlock *detector*: the
 detector needs the hang to happen; the predictor implicates it from a
 passing run (paper Section 6, "Dynamic Analyses").
+
+:mod:`networkx` is imported by :func:`cycle_predictions`, the only code
+that builds a graph, so importing this module (and :mod:`repro.analysis`)
+stays cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.core.trace import Trace
 
@@ -88,6 +90,8 @@ def cycle_predictions(edges: dict[tuple[str, str], set[int]]) -> list[DeadlockPr
         # No nested acquisitions anywhere in the trace: the graph has no
         # edges, hence no cycles — skip building a DiGraph per execution.
         return []
+    import networkx as nx
+
     graph = nx.DiGraph()
     for (outer, inner), threads in edges.items():
         graph.add_edge(outer, inner, threads=threads)

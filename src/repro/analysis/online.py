@@ -22,8 +22,8 @@ Three sanitizers ship in the registry:
   analyzer so the two agree by construction.
 * ``lockorder`` — :class:`OnlineLockOrderSanitizer`, lock-order-graph ABBA
   deadlock prediction, sharing the offline edge/cycle helpers (the cycle
-  search imports :mod:`networkx` lazily, keeping the fuzzer import chain
-  light).
+  search imports :mod:`networkx` on first use, keeping the fuzzer import
+  chain light).
 
 Every finding is normalised into a :class:`SanitizerReport` whose
 ``dedup_key`` (sanitizer, kind, abstract-event pair) identifies the bug
@@ -43,6 +43,7 @@ from repro.analysis.hb import (
     Race,
     RaceReport,
 )
+from repro.analysis.lockgraph import LockGraphReport, cycle_predictions, lock_order_on_event
 from repro.analysis.lockset import (
     LocksetReport,
     _Shadow,
@@ -325,23 +326,15 @@ class OnlineLockOrderSanitizer(Sanitizer):
     name = "lockorder"
 
     def __init__(self) -> None:
-        # Deferred import (lockgraph pulls in networkx at module top); bound
-        # once per instance so on_event pays a plain attribute load, not an
-        # import-machinery round trip per event.
-        from repro.analysis.lockgraph import lock_order_on_event
-
         self._held: dict[int, list[str]] = {}
         self._edges: dict[tuple[str, str], set[int]] = {}
-        self._on_event = lock_order_on_event
         #: The offline-equivalent report, populated by :meth:`finish`.
         self.report = None
 
     def on_event(self, event: Event) -> None:
-        self._on_event(event, self._held, self._edges)
+        lock_order_on_event(event, self._held, self._edges)
 
     def finish(self) -> list[SanitizerReport]:
-        from repro.analysis.lockgraph import LockGraphReport, cycle_predictions
-
         report = LockGraphReport(edges=self._edges)
         report.predictions.extend(cycle_predictions(self._edges))
         self.report = report

@@ -202,7 +202,7 @@ class RffFuzzer:
         if not self.config.sanitizers:
             return []
         # Lazy import: keeps the fuzzer import chain free of the analysis
-        # package (and its networkx dependency) when sanitizers are off.
+        # package when sanitizers are off.
         from repro.analysis.online import build_stack
 
         return build_stack(self.config.sanitizers)

@@ -1,152 +1,99 @@
-"""Experiment harness: tools, campaigns, statistics and report rendering."""
+"""Experiment harness: tools, campaigns, statistics and report rendering.
 
-from repro.harness.campaign import Campaign, CampaignConfig, CampaignResult, campaign_header
-from repro.harness.store import (
-    CorpusStore,
-    StoreError,
-    StoreInspection,
-    StoreLockedError,
-    StoreMismatchError,
-)
-from repro.harness.supervisor import SupervisedCampaign
-from repro.harness.reporting import (
-    APPENDIX_B_ORDER,
-    RfDistribution,
-    appendix_b_table,
-    figure4_ascii,
-    figure4_series,
-    figure5_ascii,
-    rf_distribution_pos,
-    rf_distribution_rff,
-    sanitizer_summary,
-    significance_summary,
-    store_summary,
-    throughput_summary,
-)
-from repro.harness.persist import (
-    crash_from_dict,
-    crash_to_dict,
-    load_crash,
-    load_json,
-    read_jsonl,
-    recover_jsonl,
-    report_to_dict,
-    result_from_dict,
-    result_to_dict,
-    save_crashes,
-    save_json,
-    schedule_from_dict,
-    schedule_to_dict,
-    trace_from_dict,
-    trace_to_dict,
-)
-from repro.harness.telemetry import (
-    GLOBAL_COUNTERS,
-    Counters,
-    JsonlSink,
-    MultiSink,
-    SinkLockedError,
-    TelemetryAggregator,
-    TelemetrySink,
-    validate_jsonl,
-    validate_record,
-)
-from repro.harness.stats import (
-    LogRankResult,
-    SummaryCell,
-    logrank,
-    logrank_direction,
-    mann_whitney_u,
-    summarize,
-)
-from repro.harness.parallel import (
-    CampaignError,
-    CellSpec,
-    ParallelCampaign,
-    register_tool,
-)
-from repro.harness.tools import (
-    BugSearchResult,
-    GenMcTool,
-    PeriodTool,
-    PerExecutionPolicyTool,
-    RffTool,
-    TestingTool,
-    muzz_tool,
-    paper_tools,
-    pct_tool,
-    pos_tool,
-    qlearning_tool,
-    random_tool,
-)
+The public names below load on first use (PEP 562): ``from repro.harness
+import Campaign`` imports :mod:`repro.harness.campaign` and nothing else,
+so an ``rff`` command or a pool worker pays only for the submodules it
+runs.  ``_EXPORTS`` maps each name to the submodule that defines it.
+"""
 
-__all__ = [
-    "APPENDIX_B_ORDER",
-    "BugSearchResult",
-    "Campaign",
-    "CampaignConfig",
-    "CampaignError",
-    "CampaignResult",
-    "CellSpec",
-    "CorpusStore",
-    "Counters",
-    "GLOBAL_COUNTERS",
-    "JsonlSink",
-    "MultiSink",
-    "ParallelCampaign",
-    "SinkLockedError",
-    "StoreError",
-    "StoreInspection",
-    "StoreLockedError",
-    "StoreMismatchError",
-    "SupervisedCampaign",
-    "TelemetryAggregator",
-    "TelemetrySink",
-    "GenMcTool",
-    "LogRankResult",
-    "PerExecutionPolicyTool",
-    "PeriodTool",
-    "RfDistribution",
-    "RffTool",
-    "SummaryCell",
-    "TestingTool",
-    "appendix_b_table",
-    "campaign_header",
-    "crash_from_dict",
-    "crash_to_dict",
-    "figure4_ascii",
-    "figure4_series",
-    "figure5_ascii",
-    "load_crash",
-    "load_json",
-    "logrank",
-    "logrank_direction",
-    "mann_whitney_u",
-    "muzz_tool",
-    "paper_tools",
-    "read_jsonl",
-    "recover_jsonl",
-    "register_tool",
-    "report_to_dict",
-    "result_from_dict",
-    "result_to_dict",
-    "save_crashes",
-    "save_json",
-    "schedule_from_dict",
-    "schedule_to_dict",
-    "trace_from_dict",
-    "trace_to_dict",
-    "pct_tool",
-    "pos_tool",
-    "qlearning_tool",
-    "random_tool",
-    "rf_distribution_pos",
-    "rf_distribution_rff",
-    "sanitizer_summary",
-    "significance_summary",
-    "store_summary",
-    "summarize",
-    "throughput_summary",
-    "validate_jsonl",
-    "validate_record",
-]
+from __future__ import annotations
+
+from importlib import import_module
+
+_EXPORTS = {
+    "Campaign": "campaign",
+    "CampaignConfig": "campaign",
+    "CampaignResult": "campaign",
+    "campaign_header": "campaign",
+    "CorpusStore": "store",
+    "StoreError": "store",
+    "StoreInspection": "store",
+    "StoreLockedError": "store",
+    "StoreMismatchError": "store",
+    "SupervisedCampaign": "supervisor",
+    "APPENDIX_B_ORDER": "reporting",
+    "RfDistribution": "reporting",
+    "appendix_b_table": "reporting",
+    "figure4_ascii": "reporting",
+    "figure4_series": "reporting",
+    "figure5_ascii": "reporting",
+    "rf_distribution_pos": "reporting",
+    "rf_distribution_rff": "reporting",
+    "sanitizer_summary": "reporting",
+    "significance_summary": "reporting",
+    "store_summary": "reporting",
+    "throughput_summary": "reporting",
+    "crash_from_dict": "persist",
+    "crash_to_dict": "persist",
+    "load_crash": "persist",
+    "load_json": "persist",
+    "read_jsonl": "persist",
+    "recover_jsonl": "persist",
+    "report_to_dict": "persist",
+    "result_from_dict": "persist",
+    "result_to_dict": "persist",
+    "save_crashes": "persist",
+    "save_json": "persist",
+    "schedule_from_dict": "persist",
+    "schedule_to_dict": "persist",
+    "trace_from_dict": "persist",
+    "trace_to_dict": "persist",
+    "GLOBAL_COUNTERS": "telemetry",
+    "Counters": "telemetry",
+    "JsonlSink": "telemetry",
+    "MultiSink": "telemetry",
+    "SinkLockedError": "telemetry",
+    "TelemetryAggregator": "telemetry",
+    "TelemetrySink": "telemetry",
+    "validate_jsonl": "telemetry",
+    "validate_record": "telemetry",
+    "LogRankResult": "stats",
+    "SummaryCell": "stats",
+    "logrank": "stats",
+    "logrank_direction": "stats",
+    "mann_whitney_u": "stats",
+    "summarize": "stats",
+    "CampaignError": "parallel",
+    "CellSpec": "parallel",
+    "ParallelCampaign": "parallel",
+    "register_tool": "parallel",
+    "BugSearchResult": "tools",
+    "GenMcTool": "tools",
+    "PeriodTool": "tools",
+    "PerExecutionPolicyTool": "tools",
+    "RffTool": "tools",
+    "TestingTool": "tools",
+    "muzz_tool": "tools",
+    "paper_tools": "tools",
+    "pct_tool": "tools",
+    "pos_tool": "tools",
+    "qlearning_tool": "tools",
+    "random_tool": "tools",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        # AttributeError (not KeyError) lets ``from repro.harness import
+        # faults`` fall through to importing the submodule itself.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -156,6 +156,14 @@ def figure5_ascii(distribution: RfDistribution, bars: int = 40, height: int = 10
 # ----------------------------------------------------------------------
 # Campaign throughput (telemetry summary)
 # ----------------------------------------------------------------------
+def _duration(seconds: float) -> str:
+    """``4.2ms`` under a second (a pooled cell often takes a few ms, which
+    ``:.2f`` would print as ``0.00s``), ``2.00s`` from a second up."""
+    if seconds < 1.0:
+        return f"{seconds * 1000:.1f}ms"
+    return f"{seconds:.2f}s"
+
+
 def throughput_summary(aggregator, slowest: int = 3) -> str:
     """Render a campaign's telemetry aggregate as a plain-text block.
 
@@ -191,7 +199,7 @@ def throughput_summary(aggregator, slowest: int = 3) -> str:
     slow = aggregator.slowest_cells(slowest)
     if slow:
         cells = ", ".join(
-            f"{tool}/{program} trial {trial} ({wall:.2f}s)"
+            f"{tool}/{program} trial {trial} ({_duration(wall)})"
             for (tool, program, trial), wall in slow
         )
         lines.append(f"  slowest cells:    {cells}")

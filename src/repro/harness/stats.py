@@ -6,14 +6,16 @@
   censoring for trials that never found the bug (Sections 5.2/5.3) —
   schedules-to-bug is survival data: a trial that exhausts its budget is a
   right-censored observation, not a missing one.
+
+:mod:`scipy.stats` is imported on the first p-value, inside
+:func:`mann_whitney_u` and :func:`logrank`: it is the slowest import in the
+package, and no ``rff`` command computes a p-value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ def mann_whitney_u(xs: list[float], ys: list[float]) -> float:
         return 1.0
     if len(set(xs)) == 1 and set(xs) == set(ys):
         return 1.0
+    from scipy import stats as _scipy_stats
+
     return float(_scipy_stats.mannwhitneyu(xs, ys, alternative="two-sided").pvalue)
 
 
@@ -113,6 +117,8 @@ def logrank(
     if variance <= 0:
         return LogRankResult(statistic=0.0, p_value=1.0)
     statistic = (observed_a - expected_a) ** 2 / variance
+    from scipy import stats as _scipy_stats
+
     p_value = float(_scipy_stats.chi2.sf(statistic, df=1))
     return LogRankResult(statistic=statistic, p_value=p_value)
 

@@ -361,3 +361,24 @@ class TestAggregator:
         assert "2 completed, 1 failed, 1 retried" in text
         assert "worker restarts:  1" in text
         assert "slowest cells" in text and "trial 0 (2.00s)" in text
+
+    def test_slowest_cells_render_sub_second_walls_in_ms(self):
+        aggregator = TelemetryAggregator(clock=lambda: 0.0)
+        for trial, wall in enumerate([0.0042, 0.25]):
+            aggregator.emit(
+                "cell_end",
+                tool="PCT3",
+                program="CS/account",
+                trial=trial,
+                attempt=1,
+                wall_time=wall,
+                executions=10,
+                schedules_per_sec=10 / wall,
+                found=False,
+                steps=500,
+                crashes=0,
+                corpus_adds=0,
+            )
+        text = throughput_summary(aggregator)
+        assert "trial 1 (250.0ms), PCT3/CS/account trial 0 (4.2ms)" in text
+        assert "0.00s" not in text
