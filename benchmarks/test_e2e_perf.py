@@ -18,7 +18,7 @@ It writes ``results/BENCH_e2e.json``, next to the same figures measured on
 the package before its import diet (``BEFORE``: ``import repro.cli``
 loaded scipy, numpy and networkx, and ``repro.harness`` imported every
 submodule).  Only the import is gated: at most ``MAX_IMPORT_S`` seconds,
-scaled by the pure-Python calibration loop of ``test_engine_perf``
+scaled by the pure-Python calibration loop of ``timing.py``
 (``REFERENCE_CALIBRATION`` is the host the limit was set on; a slower
 machine gets a proportionally larger limit).  The forkserver/fork ratio is
 recorded, not gated: with 2 workers on 2 CPUs it sits near 2x and moves
@@ -36,14 +36,14 @@ import sys
 import time
 from pathlib import Path
 
-from test_engine_perf import _calibrate
+from timing import calibrate
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = ROOT / "results"
 
 SAMPLES = 5
 MAX_IMPORT_S = 0.5
-#: ``_calibrate()`` ops/sec of the host ``MAX_IMPORT_S`` was set on (a
+#: ``calibrate()`` ops/sec of the host ``MAX_IMPORT_S`` was set on (a
 #: 2-CPU Linux x86_64 host, Python 3.11.7).
 REFERENCE_CALIBRATION = 5_000_000.0
 
@@ -101,9 +101,9 @@ def _import_seconds() -> float:
 
 
 def test_startup_costs():
-    calibration = _calibrate()
+    calibration = calibrate()
     after = {
-        "calibration_ops_per_sec": round(calibration, 1),
+        "calibration_ops_per_sec": round(calibration.ops_per_sec, 1),
         "import_s": min(_import_seconds() for _ in range(SAMPLES)),
         "fuzz_s": min(_process_wall(FUZZ_ARGV) for _ in range(SAMPLES)),
     }
@@ -112,9 +112,10 @@ def test_startup_costs():
         after[f"campaign_{start_method}_s"] = min(_process_wall(argv) for _ in range(SAMPLES))
     after["forkserver_over_fork"] = after["campaign_forkserver_s"] / after["campaign_fork_s"]
     after = {name: round(value, 4) for name, value in after.items()}
-    limit = MAX_IMPORT_S * REFERENCE_CALIBRATION / calibration
+    limit = MAX_IMPORT_S * REFERENCE_CALIBRATION / calibration.ops_per_sec
     payload = {
         "samples": SAMPLES,
+        "calibration": calibration.record(),
         "max_import_s": MAX_IMPORT_S,
         "scaled_max_import_s": round(limit, 4),
         "after": after,

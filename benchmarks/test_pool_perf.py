@@ -12,7 +12,7 @@ engine it replaced.
 That engine no longer exists, so its wall time is frozen in
 ``benchmarks/pool_baseline.json``, measured on the same workload with the
 same samples and worker count.  Like ``engine_baseline.json`` it is
-normalised by the pure-Python calibration loop of ``test_engine_perf``:
+normalised by the pure-Python calibration loop of ``timing.py``:
 the frozen wall is scaled by (baseline calibration / this machine's
 calibration), so a slower machine expects a proportionally slower
 per-cell engine.  The frozen result digest pins that the pool runs
@@ -29,7 +29,7 @@ import json
 import time
 from pathlib import Path
 
-from test_engine_perf import _calibrate
+from timing import Calibration, calibrate
 
 from repro import bench
 from repro.harness.allocator import LaplaceAllocator
@@ -69,18 +69,20 @@ def _digest(result) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _measure(start_method: str) -> tuple[float, float, str]:
-    """(best wall, best calibration, result digest): one warm-up run, then
+def _measure(start_method: str) -> tuple[float, Calibration, str]:
+    """(best wall, calibration, result digest): one warm-up run, then
     ``SAMPLES`` timed runs, each preceded by a calibration in this process
-    — the protocol the frozen baseline was measured with."""
+    — the protocol the frozen baseline was measured with.  The calibration
+    pools every reading; its estimate is the best of them."""
     digest = _digest(_run(start_method))
-    walls, calibrations = [], []
+    walls = []
+    calibration = Calibration(())
     for _ in range(SAMPLES):
-        calibrations.append(_calibrate())
+        calibration += calibrate()
         start = time.perf_counter()
         _run(start_method)
         walls.append(time.perf_counter() - start)
-    return min(walls), max(calibrations), digest
+    return min(walls), calibration, digest
 
 
 def test_pool_speedup_over_frozen_percell_baseline():
@@ -104,10 +106,10 @@ def test_pool_speedup_over_frozen_percell_baseline():
         # campaign the per-cell baseline timed.
         assert digest == baseline["digest"], f"{start_method}: results differ from the baseline's"
         frozen = baseline["percell"][start_method]
-        percell_wall = frozen["wall_s"] * frozen["calibration_ops_per_sec"] / calibration
+        percell_wall = frozen["wall_s"] * frozen["calibration_ops_per_sec"] / calibration.ops_per_sec
         speedup = percell_wall / pool_wall
         payload["start_methods"][start_method] = {
-            "calibration_ops_per_sec": round(calibration, 1),
+            **calibration.record(),
             "percell_baseline_wall_s": frozen["wall_s"],
             "percell_scaled_wall_s": round(percell_wall, 4),
             "pool_wall_s": round(pool_wall, 4),

@@ -8,12 +8,13 @@ runs next.  Execution is fully deterministic given the policy's decisions,
 which is what makes schedules replayable and the reads-from relation a
 stable feedback signal.
 
-Hot-path structure (PR 5): per-op-*type* dispatch tables replace the former
-``isinstance`` chains — ``_apply`` is a table of bound per-op handlers built
-once at init (subclasses override the ``_apply_*`` methods, see
-:class:`~repro.runtime.tso.TsoExecutor`), enabledness checks live in a
-module-level per-type table, each op's memory ``location`` is precomputed at
-op construction, ``_derive_loc`` labels are memoized per ``(code object,
+Hot-path structure: ``_execute`` dispatches through a per-op-*type* table
+of handlers resolved once per executor class (subclasses override the
+``_apply_*`` methods, see :class:`~repro.runtime.tso.TsoExecutor`);
+:meth:`Executor.enabled_candidates` tests the three blocking op types inline,
+with no Python call per scanned thread; the main loop checks the policy's
+choice by identity; each op's memory ``location`` is precomputed at op
+construction, ``_derive_loc`` labels are memoized per ``(code object,
 lineno)``, and abstract reads-from pairs are collected incrementally as
 interned pair ids while events are recorded, so :meth:`Trace.rf_pairs` is a
 memoized O(1) lookup after the run.  All of it is differentially pinned to
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Sequence
 
 from repro.core.events import AbstractEvent, Event, intern_abstract
 from repro.core.trace import Trace, intern_rf_pair, rf_pair_hash
@@ -201,24 +202,6 @@ def _derive_loc(gen: Generator) -> str:
     return "?:?"
 
 
-def _op_location(op: ops.Op) -> str:
-    """The memory location ``x`` an operation acts on.
-
-    Locations are precomputed at op construction (see
-    :meth:`repro.runtime.ops.Op.__post_init__`); this accessor remains as
-    the stable entry point for scheduler policies.
-    """
-    return op.location
-
-
-#: Per-op-type enabledness checks; op types absent from the table are always
-#: enabled.  Keyed on the concrete class (ops are never subclassed).
-_ENABLED_CHECKS = {
-    ops.LockOp: lambda op: not op.mutex.held,
-    ops.JoinOp: lambda op: op.handle.finished,
-    ops.SemAcquireOp: lambda op: op.sem.count > 0,
-}
-
 #: Op type -> name of the Executor method applying it.  Bound per instance
 #: at init (so subclass overrides of individual handlers are honoured).
 _APPLY_METHODS: dict[type[ops.Op], str] = {
@@ -276,7 +259,8 @@ class Executor:
         #: Count of unfinished threads (maintained by _advance/_spawn).
         self._live_threads = 0
         #: Threads scanned by enabled_candidates: ``self.threads`` minus
-        #: finished ones, pruned lazily (tid order preserved by removal).
+        #: finished ones, pruned lazily (tid order preserved by removal);
+        #: read-only to policies through unfinished_threads().
         self._scan_threads: list[ThreadState] = []
         self._scan_dirty = False
         #: Interned abstract rf pair ids seen so far, plus their running
@@ -364,7 +348,13 @@ class Executor:
                     error.frames = self._frontier_frames()
                     raise error
                 choice = choose(candidates, self)
-                if choice not in candidates:
+                # Identity, not equality: a policy returns one of the
+                # objects it was given, and ``in`` would call the frozen
+                # dataclass's __eq__ on every candidate before the choice.
+                for candidate in candidates:
+                    if candidate is choice:
+                        break
+                else:
                     raise SchedulerError(f"policy chose {choice}, not an enabled candidate")
                 event = execute(choice)
                 notify(event, self)
@@ -448,44 +438,61 @@ class Executor:
         with extra pending work, e.g. unflushed TSO store buffers)."""
         return self._live_threads == 0
 
+    def unfinished_threads(self) -> Sequence[ThreadState]:
+        """The threads that have not finished, in tid order (read-only).
+
+        The sequence is the executor's own scan list: callers must not
+        mutate it, and it is only valid until the executor's next step.
+        """
+        if self._scan_dirty:
+            # Finishing is irreversible; removal keeps the list tid-ordered,
+            # preserving the candidate order policies observe.
+            self._scan_threads = [t for t in self._scan_threads if t.status is not ThreadStatus.FINISHED]
+            self._scan_dirty = False
+        return self._scan_threads
+
     def enabled_candidates(self) -> list[Candidate]:
         """All runnable threads whose pending operation can execute now.
 
-        Returns a preallocated buffer reused across calls: the list is only
-        valid until the next call (consumers that retain candidates copy
-        them, which every in-tree policy and explorer already does).
+        Candidates come in tid order.  Returns a preallocated buffer reused
+        across calls: the list is only valid until the next call (consumers
+        that retain candidates copy them, which every in-tree policy and
+        explorer already does).
         """
-        if self._scan_dirty:
-            # Prune finished threads (irreversible state) from the scan
-            # list; removal keeps the list tid-ordered, preserving the
-            # candidate order policies observe.
-            self._scan_threads = [t for t in self._scan_threads if t.status is not ThreadStatus.FINISHED]
-            self._scan_dirty = False
         out = self._candidates_buf
         out.clear()
         append = out.append
-        checks = _ENABLED_CHECKS
         runnable = ThreadStatus.RUNNABLE
-        for thread in self._scan_threads:
+        finished = ThreadStatus.FINISHED
+        lock_op = ops.LockOp
+        join_op = ops.JoinOp
+        sem_acquire_op = ops.SemAcquireOp
+        scan = self.unfinished_threads() if self._scan_dirty else self._scan_threads
+        for thread in scan:
             if thread.status is not runnable:
                 continue
             op = thread.pending
             if op is None:
                 continue
             if op.may_block:
-                check = checks.get(op.__class__)
-                if check is not None and not check(op):
-                    continue
+                # The three blocking tests, inlined (ops are never
+                # subclassed); wait and barrier ops block only once applied.
+                op_type = op.__class__
+                if op_type is lock_op:
+                    if op.mutex.owner is not None:
+                        continue
+                elif op_type is join_op:
+                    if op.handle.thread.status is not finished:
+                        continue
+                elif op_type is sem_acquire_op:
+                    if op.sem.count <= 0:
+                        continue
             candidate = thread.cached_candidate
             if candidate is None:
                 candidate = Candidate(thread.tid, op.kind, op.location, thread.pending_loc)
                 thread.cached_candidate = candidate
             append(candidate)
         return out
-
-    def _op_enabled(self, thread: ThreadState, op: ops.Op) -> bool:
-        check = _ENABLED_CHECKS.get(op.__class__)
-        return True if check is None else check(op)
 
     # ------------------------------------------------------------------
     # Event execution
@@ -554,22 +561,6 @@ class Executor:
             # cas/trylock: writes only when the operation succeeded.
             return bool(value)
         return writes
-
-    def _apply(
-        self, thread: ThreadState, op: ops.Op, eid: int, location: str
-    ) -> tuple[int | None, Any, Any, bool, Any]:
-        """Perform the operation's effect (table-dispatched).
-
-        Returns ``(rf, recorded value, value to resume the generator with,
-        advance_now, aux)``.  ``advance_now`` is False when the thread
-        blocks as part of executing the op (condvar wait, non-final barrier
-        arrival); ``aux`` is the cross-thread metadata recorded on the event
-        (spawned/joined tid, woken waiters).
-        """
-        handler = self._apply_table.get(op.__class__)
-        if handler is None:
-            raise ProgramError(f"unhandled operation {op!r}")
-        return handler(self, thread, op, eid, location)
 
     # -- per-op-type apply handlers --------------------------------------
     def _apply_read(self, thread: ThreadState, op: ops.ReadOp, eid: int, location: str):
@@ -809,8 +800,3 @@ def run_program(
     return Executor(
         program, policy, max_steps=max_steps, sanitizers=sanitizers, guard=guard
     ).run()
-
-
-#: Public alias: scheduler policies use this to inspect blocked threads'
-#: pending operations (e.g. POS resets scores of racing pending events).
-op_location = _op_location

@@ -42,15 +42,25 @@ class PctPolicy(SeededPolicy):
         population = range(1, self.length_estimate + 1)
         self._change_points = set(self.rng.sample(population, count)) if count else set()
 
-    def _priority(self, tid: int) -> float:
-        if tid not in self._priorities:
-            # Base priorities are drawn from [depth, depth + 1) so every
-            # change-point priority (0 .. depth-2) sits strictly below them.
-            self._priorities[tid] = self.depth + self.rng.random()
-        return self._priorities[tid]
-
     def choose(self, candidates: "list[Candidate]", execution: "Executor") -> "Candidate":
-        return max(candidates, key=lambda c: self._priority(c.tid))
+        # Explicit arg-max (first maximal element, exactly like max() with a
+        # priority key): missing priorities are drawn in candidate order,
+        # keeping the rng stream identical to the straightforward version.
+        priorities = self._priorities
+        best = None
+        best_priority = -1.0
+        for candidate in candidates:
+            tid = candidate.tid
+            priority = priorities.get(tid)
+            if priority is None:
+                # Base priorities are drawn from [depth, depth + 1) so every
+                # change-point priority (0 .. (depth-2)/depth) sits strictly
+                # below them.
+                priority = priorities[tid] = self.depth + self.rng.random()
+            if priority > best_priority:
+                best_priority = priority
+                best = candidate
+        return best
 
     def notify(self, event: "Event", execution: "Executor") -> None:
         step = execution.step_index  # 1-based once the event is recorded

@@ -77,11 +77,12 @@ class PosPolicy(SeededPolicy):
         location = event.location
         event_tid = event.tid
         scores = self._scores
-        for thread in execution.threads:
+        # Finished threads have no pending event, so walking only the
+        # unfinished ones resets exactly what a walk over all threads would.
+        # The location test comes first: it rejects most threads.
+        for thread in execution.unfinished_threads():
             pending = thread.pending
-            if pending is None or thread.tid == event_tid:
+            if pending is None or pending.location != location:
                 continue
-            if pending.location != location:
-                continue
-            if is_writeish or pending.category in _WRITEY:
+            if thread.tid != event_tid and (is_writeish or pending.category in _WRITEY):
                 scores.pop((thread.tid, thread.step_count, pending.kind), None)

@@ -3,12 +3,14 @@ deadlock detection and the memory-safety oracles."""
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 
 import pytest
 
 from repro.runtime import program, run_program
 from repro.runtime.errors import SchedulerError
+from repro.runtime.tso import FLUSH_KIND, TsoExecutor
 from repro.schedulers import RandomWalkPolicy, ReplayPolicy
 from repro.schedulers.base import SchedulerPolicy
 
@@ -392,6 +394,48 @@ class TestAdversarialDeadlock:
 
         with pytest.raises(SchedulerError, match="not an enabled candidate"):
             run_program(abba_deadlock, RoguePolicy())
+
+    def test_policy_returning_equal_copy_of_candidate_rejected(self, abba_deadlock):
+        # The contract is identity: an equal candidate built by the policy
+        # is not one of the objects the executor offered.
+        class CopyingPolicy(SchedulerPolicy):
+            def choose(self, candidates, execution):
+                copy = dataclasses.replace(candidates[0])
+                assert copy == candidates[0] and copy is not candidates[0]
+                return copy
+
+        with pytest.raises(SchedulerError, match="not an enabled candidate"):
+            run_program(abba_deadlock, CopyingPolicy())
+
+    def test_tso_policy_choosing_flush_candidate_accepted(self):
+        # Flush candidates are built per call, outside the per-thread
+        # candidate cache; picking one must pass the identity check.
+        class FlushFirstPolicy(SchedulerPolicy):
+            flushes = 0
+
+            def choose(self, candidates, execution):
+                for candidate in candidates:
+                    if candidate.kind == FLUSH_KIND:
+                        self.flushes += 1
+                        return candidate
+                return candidates[-1]
+
+        @program("t/tso-flush")
+        def prog(t):
+            def writer(t, x):
+                yield t.write(x, 1)
+                yield t.write(x, 2)
+
+            x = t.var("x", 0)
+            handle = yield t.spawn(writer, x)
+            yield t.write(x, 3)
+            yield t.join(handle)
+
+        policy = FlushFirstPolicy()
+        result = TsoExecutor(prog, policy).run()
+        assert not result.crashed
+        assert policy.flushes == 3
+        assert [e.kind for e in result.trace.events].count(FLUSH_KIND) == 3
 
 
 class TestHeapOracles:
